@@ -16,64 +16,34 @@
 // committed artifact (BENCH_PR3.json).  scripts/bench_compare.py is the
 // regression gate over two such ledgers.
 //
-// Execution backends for the (bench x repetition) grid:
-//
-//   --jobs N   shards across the in-process sweep scheduler
-//              (src/analysis/sweep.h) — each repetition runs inside its own
-//              metrics shard, so its counter snapshot is exactly what the
-//              body recorded no matter which worker ran it;
-//   --fleet N  shards across N supervised worker *processes*
-//              (src/robust/supervisor/supervisor.h): workers checkpoint
-//              every repetition to per-shard JSONL logs, crashed or hung
-//              workers are restarted from their last valid line, and the
-//              merged ledger is byte-identical to --jobs 1 — the crash-
-//              tolerance contract the chaos harness asserts.  SIGTERM/SIGINT
-//              stop the fleet cleanly (exit 75); rerunning with the same
-//              --fleet-dir resumes instead of recomputing.
-//
-// --balance HISTORY.jsonl (fleet only) prices every item from a
-// speedscale.history/1 trajectory's cost records (src/obs/history/) and
-// replaces the static i%N sharding with a deterministic LPT plan computed
-// before any worker spawns.  Balancing changes which shard computes an
-// item, never what it computes: the merged ledger stays byte-identical.
+// The (bench x repetition) grid is sharded across the in-process sweep
+// scheduler (src/analysis/sweep.h) with --jobs N: each repetition runs
+// inside its own metrics shard, so its counter snapshot is exactly what the
+// body recorded no matter which worker ran it, and the ledger is
+// byte-identical for every N.
 //
 // Usage:
 //   bench_suite_runner [--out ledger.json] [--reps N] [--quick] [--jobs N]
 //                      [--filter SUBSTR] [--exclude SUBSTR] [--list]
-//                      [--suite NAME] [--fleet N] [--fleet-dir DIR]
-//                      [--worker PATH] [--metrics-out FILE] [--state-file FILE]
+//                      [--suite NAME]
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/pinned_suite.h"
 #include "src/analysis/sweep.h"
 #include "src/obs/build_info.h"
-#include "src/obs/history/cost_model.h"
-#include "src/obs/history/history_store.h"
-#include "src/obs/live/telemetry_hub.h"
-#include "src/obs/live/telemetry_server.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/perf/bench_ledger.h"
-#include "src/robust/atomic_io.h"
-#include "src/robust/supervisor/supervisor.h"
 
 using namespace speedscale;
 
 namespace {
-
-std::atomic<bool> g_stop{false};
-
-void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 /// Zero-valued names filtered out of a shard's counter delta: a shard scope
 /// records OBS_COUNT(name, 0) as an explicit 0 entry, but the ledger pins
@@ -87,26 +57,11 @@ std::map<std::string, std::int64_t> nonzero(const std::map<std::string, std::int
   return out;
 }
 
-/// Default sweep_worker location: sibling "examples" directory of this
-/// binary's "bench" directory (the build-tree layout).
-std::string default_worker_path(const char* argv0) {
-  const std::string self(argv0);
-  const std::size_t slash = self.rfind('/');
-  const std::string dir = slash == std::string::npos ? "." : self.substr(0, slash);
-  return dir + "/../examples/sweep_worker";
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: bench_suite_runner [--out ledger.json] [--reps N] [--quick]\n"
                "                          [--jobs N] [--filter SUBSTR] [--exclude SUBSTR]\n"
-               "                          [--list] [--suite NAME]\n"
-               "                          [--fleet N] [--fleet-dir DIR] [--worker PATH]\n"
-               "                          [--metrics-out FILE] [--state-file FILE]\n"
-               "                          [--run-id ID] [--no-fleet-obs] [--fleet-report]\n"
-               "                          [--fleet-trace FILE] [--fleet-log FILE]\n"
-               "                          [--balance HISTORY.jsonl]\n"
-               "                          [--serve-metrics [BIND]] [--port-file FILE]\n");
+               "                          [--list] [--suite NAME]\n");
   return 2;
 }
 
@@ -114,13 +69,10 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string out_path, suite_name = "pr3-pinned";
-  std::string fleet_dir = "fleet_work", worker_path, metrics_out, state_file;
-  std::string run_id, fleet_trace, fleet_log, serve_bind, port_file, balance_path;
   std::vector<std::string> filters, excludes;  // repeatable; substring match
   int reps = 5;
-  std::size_t jobs = 1, fleet = 0;
+  std::size_t jobs = 1;
   bool quick = false, list = false;
-  bool fleet_obs = true, fleet_report = false, serve_metrics = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -129,33 +81,6 @@ int main(int argc, char** argv) {
       reps = std::atoi(argv[++i]);
     } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--fleet" && i + 1 < argc) {
-      fleet = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--fleet-dir" && i + 1 < argc) {
-      fleet_dir = argv[++i];
-    } else if (arg == "--worker" && i + 1 < argc) {
-      worker_path = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg == "--state-file" && i + 1 < argc) {
-      state_file = argv[++i];
-    } else if (arg == "--run-id" && i + 1 < argc) {
-      run_id = argv[++i];
-    } else if (arg == "--no-fleet-obs") {
-      fleet_obs = false;
-    } else if (arg == "--fleet-report") {
-      fleet_report = true;
-    } else if (arg == "--fleet-trace" && i + 1 < argc) {
-      fleet_trace = argv[++i];
-    } else if (arg == "--fleet-log" && i + 1 < argc) {
-      fleet_log = argv[++i];
-    } else if (arg == "--balance" && i + 1 < argc) {
-      balance_path = argv[++i];
-    } else if (arg == "--serve-metrics" && i + 1 < argc) {
-      serve_metrics = true;
-      serve_bind = argv[++i];
-    } else if (arg == "--port-file" && i + 1 < argc) {
-      port_file = argv[++i];
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--filter" && i + 1 < argc) {
@@ -210,123 +135,26 @@ int main(int argc, char** argv) {
 
   // The (bench x rep) grid, item idx = bench * reps + rep.  Each
   // repetition's counters are its shard delta — exactly what the body
-  // recorded, wherever it ran — so the ledger does not depend on --jobs or
-  // --fleet.  No outer OPT cache: memoizing across repetitions would make
+  // recorded, wherever it ran — so the ledger does not depend on --jobs.
+  // No outer OPT cache: memoizing across repetitions would make
   // rep 1 cheaper than rep 0 and trip the determinism check (workloads that
   // want caching install their own, e.g. the sweep-suite points).
   const std::size_t n_items = selected.size() * static_cast<std::size_t>(reps);
   std::vector<double> wall_ns(n_items, 0.0);
-  std::vector<std::map<std::string, std::int64_t>> deltas;
 
-  if (fleet > 0) {
-    // Multi-process backend: a supervised crash-tolerant worker fleet.
-    std::signal(SIGTERM, handle_signal);
-    std::signal(SIGINT, handle_signal);
-    robust::supervisor::FleetWorkSpec spec;
-    spec.kind = robust::supervisor::FleetWorkKind::kPinnedBench;
-    spec.shards = fleet;
-    spec.opt_cache_capacity = 0;
-    spec.bench_reps = reps;
-    for (const analysis::PinnedBench* b : selected) spec.bench_names.push_back(b->name);
-    if (!balance_path.empty()) {
-      // Cost-model shard balancing (src/obs/history/cost_model.h): price
-      // each item from the trajectory's cost records and assign items to
-      // shards by deterministic LPT — all before any worker spawns, so the
-      // plan is part of the spec and the merge stays byte-identical to
-      // serial (docs/observability.md).
-      obs::history::LoadStats hstats;
-      const obs::history::HistoryStore history = obs::history::HistoryStore::load_file(
-          balance_path, obs::history::LoadMode::kLenient, &hstats);
-      history.publish_gauges(&hstats);
-      const obs::history::CostModel model = obs::history::CostModel::fit(history);
-      const obs::history::ShardPlan plan =
-          obs::history::plan_assignment(model.costs(spec.n_items()), spec.shards);
-      spec.assignment = plan.assignment;
-      std::fprintf(stderr,
-                   "[balance] %zu item(s), %zu with history (%s), moved %zu, expected "
-                   "makespan %.3f ms (static %.3f ms)\n",
-                   spec.n_items(), model.known_items(),
-                   model.uniform() ? "uniform fallback" : "cost model", plan.moved_items,
-                   plan.makespan, plan.static_makespan);
-    }
-    robust::supervisor::FleetOptions fopts;
-    fopts.worker_binary = worker_path.empty() ? default_worker_path(argv[0]) : worker_path;
-    fopts.work_dir = fleet_dir;
-    fopts.state_path = state_file;
-    fopts.stop_flag = &g_stop;
-    fopts.obs.enabled = fleet_obs;
-    fopts.obs.run_id = run_id;
-    fopts.obs.trace_path = fleet_trace;
-    fopts.obs.log_path = fleet_log;
-
-    // Live roll-up (PR 8): with --serve-metrics the runner samples fleet.*
-    // gauges into a TelemetryHub and serves /metrics mid-run — the scrape
-    // surface the chaos smoke hits while workers are being killed.  The
-    // hub reads counters and writes gauges only, so the ledger is
-    // byte-identical with or without it.
-    std::unique_ptr<obs::live::TelemetryHub> hub;
-    std::unique_ptr<obs::live::TelemetryServer> server;
-    if (serve_metrics) {
-      hub = std::make_unique<obs::live::TelemetryHub>();
-      hub->start();
-      obs::live::TelemetryServerOptions sopts;
-      sopts.bind = serve_bind;
-      server = std::make_unique<obs::live::TelemetryServer>(*hub, sopts);
-      try {
-        server->start();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "FATAL: cannot serve metrics: %s\n", e.what());
-        return 1;
-      }
-      std::printf("serving telemetry at %s\n", server->address().c_str());
-      std::fflush(stdout);
-      if (!port_file.empty()) {
-        robust::atomic_write_file(port_file,
-                                  [&](std::ostream& os) { os << server->address() << '\n'; });
-      }
-    }
-
-    robust::supervisor::Supervisor supervisor(std::move(spec), fopts);
-    robust::supervisor::FleetResult result;
-    try {
-      result = supervisor.run();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "FATAL: fleet failed: %s\n", e.what());
-      return 1;
-    }
-    if (server) server->stop();
-    if (hub) hub->stop();
-    if (!metrics_out.empty()) {
-      std::ofstream mf(metrics_out);
-      mf << obs::registry().snapshot_json() << '\n';
-    }
-    if (result.interrupted) {
-      std::fprintf(stderr,
-                   "fleet interrupted; shard logs in %s resume on the next run\n",
-                   fleet_dir.c_str());
-      return robust::supervisor::kWorkerExitInterrupted;
-    }
-    if (fleet_report && result.cost.items > 0) {
-      std::fputs(result.cost.table().c_str(), stdout);
-    }
-    for (std::size_t idx = 0; idx < n_items; ++idx) {
-      wall_ns[idx] = result.items[idx].wall_ns;
-      deltas.push_back(result.items[idx].counters);
-    }
-  } else {
-    analysis::SweepOptions sweep_options;
-    sweep_options.jobs = jobs;
-    sweep_options.opt_cache_capacity = 0;
-    analysis::SweepScheduler scheduler(sweep_options);
-    deltas = scheduler.run(n_items, [&](std::size_t idx) {
-      const analysis::PinnedBench& b = *selected[idx / static_cast<std::size_t>(reps)];
-      const auto t0 = std::chrono::steady_clock::now();
-      b.body();
-      const auto t1 = std::chrono::steady_clock::now();
-      wall_ns[idx] = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    });
-  }
+  analysis::SweepOptions sweep_options;
+  sweep_options.jobs = jobs;
+  sweep_options.opt_cache_capacity = 0;
+  analysis::SweepScheduler scheduler(sweep_options);
+  const std::vector<std::map<std::string, std::int64_t>> deltas =
+      scheduler.run(n_items, [&](std::size_t idx) {
+        const analysis::PinnedBench& b = *selected[idx / static_cast<std::size_t>(reps)];
+        const auto t0 = std::chrono::steady_clock::now();
+        b.body();
+        const auto t1 = std::chrono::steady_clock::now();
+        wall_ns[idx] = static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+      });
 
   for (std::size_t bi = 0; bi < selected.size(); ++bi) {
     const analysis::PinnedBench& b = *selected[bi];

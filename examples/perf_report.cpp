@@ -5,13 +5,11 @@
 //   perf_report --store H.jsonl --gate [--markdown report.md]
 //   perf_report --self-test
 //
-// --ingest appends each document as one new run of the speedscale.history/1
-// trajectory (auto-detected: a speedscale.bench_ledger/1 becomes bench
-// records, a speedscale.fleet_cost/1 — or a fleet_state.json with an
-// embedded cost ledger — becomes per-item cost records) and rewrites the
-// store crash-safely.  Ingest order defines run order, so a fixed CI recipe
-// (baselines first, current ledgers after) yields a deterministic
-// trajectory.
+// --ingest appends each speedscale.bench_ledger/1 document as one new run of
+// the speedscale.history/1 trajectory (one bench record per ledger entry)
+// and rewrites the store crash-safely.  Ingest order defines run order, so a
+// fixed CI recipe (baselines first, current ledgers after) yields a
+// deterministic trajectory.
 //
 // --report runs the regression sentinel (src/obs/history/sentinel.h) over
 // every bench series: deterministic counters hard-verdict on any change,
@@ -31,7 +29,6 @@
 
 #include "src/analysis/ascii_chart.h"
 #include "src/analysis/table.h"
-#include "src/obs/history/cost_model.h"
 #include "src/obs/history/history_store.h"
 #include "src/obs/history/sentinel.h"
 #include "src/obs/json_min.h"
@@ -51,7 +48,7 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-/// Routes one document to the right ingest by its "schema" key.
+/// Ingests one document after checking its "schema" key.
 std::int64_t ingest_document(hist::HistoryStore& store, const std::string& text,
                              const std::string& path) {
   const obs::JsonValue doc = obs::parse_json(text);
@@ -60,10 +57,6 @@ std::int64_t ingest_document(hist::HistoryStore& store, const std::string& text,
     throw std::runtime_error(path + ": no schema key");
   }
   if (schema->string == "speedscale.bench_ledger/1") return store.ingest_bench_ledger(text);
-  if (schema->string == "speedscale.fleet_cost/1" ||
-      schema->string == "speedscale.fleet_state/1") {
-    return store.ingest_cost_report(text);
-  }
   throw std::runtime_error(path + ": unsupported schema " + schema->string);
 }
 
@@ -73,9 +66,8 @@ bool contains(const std::string& haystack, const std::string& needle) {
 
 void print_report(const hist::HistoryStore& store, const hist::SentinelReport& report,
                   const std::string& entry_filter, bool verbose_ok) {
-  std::printf("perf history: %zu run(s), %zu bench entr%s, %zu cost row(s)\n", store.runs(),
-              store.bench_entries(), store.bench_entries() == 1 ? "y" : "ies",
-              store.cost_rows());
+  std::printf("perf history: %zu run(s), %zu bench entr%s\n", store.runs(),
+              store.bench_entries(), store.bench_entries() == 1 ? "y" : "ies");
   analysis::Table table({"entry", "metric", "verdict", "runs", "latest", "center", "band",
                          "trend", "note"});
   std::size_t rows = 0;
@@ -109,9 +101,9 @@ void write_markdown(const std::string& path, const hist::HistoryStore& store,
   std::ostringstream md;
   md << "# Perf history report\n\n";
   md << "- runs: " << store.runs() << "\n- bench entries: " << store.bench_entries()
-     << "\n- cost rows: " << store.cost_rows() << "\n- overall verdict: **"
-     << hist::verdict_name(report.overall()) << "** (" << report.n_ok << " ok, "
-     << report.n_advisory << " advisory, " << report.n_regression << " regression)\n\n";
+     << "\n- overall verdict: **" << hist::verdict_name(report.overall()) << "** ("
+     << report.n_ok << " ok, " << report.n_advisory << " advisory, " << report.n_regression
+     << " regression)\n\n";
   md << "| entry | metric | verdict | runs | latest | center | band | trend | note |\n";
   md << "|---|---|---|---:|---:|---:|---:|---|---|\n";
   for (const hist::SeriesVerdict& sv : report.series) {
@@ -178,13 +170,6 @@ int self_test() {
   const hist::HistoryStore reparsed = hist::HistoryStore::parse(doc, hist::LoadMode::kStrict);
   if (reparsed.to_jsonl() != doc) {
     std::fprintf(stderr, "self-test: round-trip not byte-stable\n");
-    return 1;
-  }
-  // Cost model: LPT beats static on a skewed synthetic cost vector.
-  const std::vector<double> costs = {8.0, 1.0, 1.0, 1.0, 7.0, 1.0, 1.0, 1.0};
-  const hist::ShardPlan plan = hist::plan_assignment(costs, 2);
-  if (plan.makespan > plan.static_makespan || plan.assignment.size() != costs.size()) {
-    std::fprintf(stderr, "self-test: LPT plan worse than static\n");
     return 1;
   }
   std::printf("perf_report self-test ok\n");

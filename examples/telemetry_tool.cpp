@@ -5,21 +5,14 @@
 //   telemetry_tool --connect ADDRESS --list          # series names, last, rate
 //   telemetry_tool --connect ADDRESS --watch [--metric NAME]...
 //                  [--interval-ms N] [--frames N] [--no-clear]
-//   telemetry_tool --connect ADDRESS --watch --fleet # fleet.* dashboard
 //   telemetry_tool --history FILE [--window K]       # perf-history trends
 //
 // ADDRESS is "HOST:PORT" or "unix:PATH" — whatever a serving process
-// printed (e.g. `datacenter_cluster --serve-metrics 0 --port-file F`, or
-// `bench_suite_runner --fleet N --serve-metrics 0 --port-file F`).
+// printed (e.g. `datacenter_cluster --serve-metrics 0 --port-file F`).
 // --watch polls /series.json and renders the selected series (default: the
 // highest-rate counter) as an ASCII chart (src/analysis/ascii_chart.h) with
 // a rate table, refreshing in place.  --frames bounds the refresh count so
 // the watch view is scriptable (CI smoke uses --frames 2).
-//
-// --fleet switches the watch body to the fleet supervisor dashboard: run
-// totals (workers alive, restarts, hung kills, ETA), the item-latency
-// percentiles, and a per-shard progress table — all read from the fleet.*
-// gauges a Supervisor publishes (supervisor.h).
 //
 // --history renders a speedscale.history/1 trajectory file offline (no
 // server needed): store totals, the sentinel's verdict tallies, and a
@@ -29,7 +22,7 @@
 //
 // A watch never dies mid-run because the plane under it hiccuped: a failed
 // poll re-renders the previous frame marked STALE, and a series that was
-// selected but disappeared between polls (hub pruning, worker restart) is
+// selected but disappeared between polls (hub pruning, publisher restart) is
 // annotated "(gone)" instead of silently vanishing from the chart.  Only a
 // failure on the *first* poll — nothing ever scraped — exits 1.
 //
@@ -118,74 +111,16 @@ const SeriesInfo* find_series(const std::vector<SeriesInfo>& series, const std::
   return nullptr;
 }
 
-double gauge_or(const std::vector<SeriesInfo>& series, const std::string& name, double fallback) {
-  const SeriesInfo* s = find_series(series, name);
-  return s ? s->last : fallback;
-}
-
-/// Renders the fleet supervisor dashboard from the fleet.* gauges
-/// (supervisor.h publishes them; the hub derives the wall-ms percentiles
-/// from the fleet.item_wall_ms histogram).
-void render_fleet(std::ostringstream& out, const std::vector<SeriesInfo>& series) {
-  const SeriesInfo* shards_s = find_series(series, "fleet.shards");
-  if (shards_s == nullptr) {
-    out << "\n(no fleet.* series — is a fleet run with the observability "
-           "plane enabled being scraped?)\n";
-    return;
-  }
-  const long shards = static_cast<long>(shards_s->last);
-  const double done = gauge_or(series, "fleet.items_done", 0.0);
-  const double total = gauge_or(series, "fleet.items_total", 0.0);
-  const double eta = gauge_or(series, "fleet.eta_seconds", -1.0);
-  char line[200];
-  std::snprintf(line, sizeof(line),
-                "\nfleet: %ld shard(s)   workers alive %.0f   restarts %.0f   hung kills %.0f\n",
-                shards, gauge_or(series, "fleet.workers_alive", 0.0),
-                gauge_or(series, "fleet.restarts_total", 0.0),
-                gauge_or(series, "fleet.hung_kills_total", 0.0));
-  out << line;
-  std::snprintf(line, sizeof(line), "items %.0f/%.0f (%.1f%%)", done, total,
-                total > 0.0 ? 100.0 * done / total : 0.0);
-  out << line;
-  // ETA is rate-derived: with zero items done there is no rate yet and the
-  // straggler math's value would be meaningless — leave the field blank.
-  if (done > 0.0 && eta >= 0.0) {
-    std::snprintf(line, sizeof(line), "   eta %.1f s", eta);
-    out << line;
-  }
-  out << '\n';
-  const SeriesInfo* p50 = find_series(series, "fleet.item_wall_ms.p50");
-  if (p50 != nullptr) {
-    std::snprintf(line, sizeof(line), "item wall ms  p50 %.3g  p95 %.3g  p99 %.3g\n",
-                  p50->last, gauge_or(series, "fleet.item_wall_ms.p95", 0.0),
-                  gauge_or(series, "fleet.item_wall_ms.p99", 0.0));
-    out << line;
-  }
-  out << "  shard        done    restarts    hb age s\n";
-  for (long s = 0; s < shards; ++s) {
-    const std::string prefix = "fleet.shard." + std::to_string(s) + ".";
-    const SeriesInfo* shard_done = find_series(series, prefix + "items_done");
-    if (shard_done == nullptr) {
-      std::snprintf(line, sizeof(line), "  %5ld      (gone)\n", s);
-    } else {
-      std::snprintf(line, sizeof(line), "  %5ld  %10.0f  %10.0f  %10.2f\n", s, shard_done->last,
-                    gauge_or(series, prefix + "restarts", 0.0),
-                    gauge_or(series, prefix + "heartbeat_age_seconds", 0.0));
-    }
-    out << line;
-  }
-}
-
 int run_watch(const std::string& address, std::vector<std::string> metrics, long interval_ms,
-              long frames, bool clear, bool fleet) {
+              long frames, bool clear) {
   const char glyphs[] = {'*', '+', 'o', 'x'};
   std::vector<SeriesInfo> series;   // last successful poll (kept across failures)
   bool ever_fetched = false;
   std::string stale_reason;
   for (long frame = 0; frames == 0 || frame < frames; ++frame) {
-    // Degrade, don't die: a run being watched is exactly the kind that
-    // restarts workers or briefly drops its listener.  Any poll after the
-    // first that fails re-renders the previous frame marked STALE.
+    // Degrade, don't die: a run being watched may briefly drop its
+    // listener.  Any poll after the first that fails re-renders the
+    // previous frame marked STALE.
     try {
       series = fetch_series(address);
       ever_fetched = true;
@@ -195,55 +130,50 @@ int run_watch(const std::string& address, std::vector<std::string> metrics, long
       stale_reason = e.what();
     }
     std::vector<std::string> selected = metrics;
-    if (selected.empty() && !fleet) {
+    if (selected.empty()) {
       const std::string def = pick_default_metric(series);
       if (!def.empty()) selected.push_back(def);
     }
 
     std::ostringstream frame_out;
-    if (fleet) {
-      frame_out << "fleet telemetry — " << address << '\n';
-      render_fleet(frame_out, series);
-    } else {
-      std::vector<analysis::Series> chart;
-      std::vector<std::string> gone;
-      for (std::size_t i = 0; i < selected.size(); ++i) {
-        const SeriesInfo* s = find_series(series, selected[i]);
-        if (s == nullptr) {
-          // Selected but absent this poll (pruned by the hub, or the
-          // publisher restarted): say so rather than silently dropping it.
-          gone.push_back(selected[i]);
-          continue;
-        }
-        analysis::Series cs;
-        cs.name = s->name;
-        cs.x = s->t;
-        cs.y = s->v;
-        cs.glyph = glyphs[i % sizeof(glyphs)];
-        chart.push_back(std::move(cs));
+    std::vector<analysis::Series> chart;
+    std::vector<std::string> gone;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      const SeriesInfo* s = find_series(series, selected[i]);
+      if (s == nullptr) {
+        // Selected but absent this poll (pruned by the hub, or the
+        // publisher restarted): say so rather than silently dropping it.
+        gone.push_back(selected[i]);
+        continue;
       }
-      analysis::plot(frame_out, chart, 72, 16, "live telemetry — " + address);
-      for (const std::string& name : gone) {
-        frame_out << "  " << name << ": (gone — not in this poll)\n";
-      }
-
-      // Top movers: the busiest counters right now.
-      std::vector<const SeriesInfo*> counters;
-      for (const SeriesInfo& s : series) {
-        if (s.kind == "counter" && s.rate > 0.0) counters.push_back(&s);
-      }
-      std::sort(counters.begin(), counters.end(),
-                [](const SeriesInfo* a, const SeriesInfo* b) { return a->rate > b->rate; });
-      frame_out << "\ntop counters by rate:\n";
-      const std::size_t top = std::min<std::size_t>(counters.size(), 8);
-      for (std::size_t i = 0; i < top; ++i) {
-        char line[160];
-        std::snprintf(line, sizeof(line), "  %-48s %14.0f %12.1f/s\n",
-                      counters[i]->name.c_str(), counters[i]->last, counters[i]->rate);
-        frame_out << line;
-      }
-      if (top == 0) frame_out << "  (no counters moving)\n";
+      analysis::Series cs;
+      cs.name = s->name;
+      cs.x = s->t;
+      cs.y = s->v;
+      cs.glyph = glyphs[i % sizeof(glyphs)];
+      chart.push_back(std::move(cs));
     }
+    analysis::plot(frame_out, chart, 72, 16, "live telemetry — " + address);
+    for (const std::string& name : gone) {
+      frame_out << "  " << name << ": (gone — not in this poll)\n";
+    }
+
+    // Top movers: the busiest counters right now.
+    std::vector<const SeriesInfo*> counters;
+    for (const SeriesInfo& s : series) {
+      if (s.kind == "counter" && s.rate > 0.0) counters.push_back(&s);
+    }
+    std::sort(counters.begin(), counters.end(),
+              [](const SeriesInfo* a, const SeriesInfo* b) { return a->rate > b->rate; });
+    frame_out << "\ntop counters by rate:\n";
+    const std::size_t top = std::min<std::size_t>(counters.size(), 8);
+    for (std::size_t i = 0; i < top; ++i) {
+      char line[160];
+      std::snprintf(line, sizeof(line), "  %-48s %14.0f %12.1f/s\n",
+                    counters[i]->name.c_str(), counters[i]->last, counters[i]->rate);
+      frame_out << line;
+    }
+    if (top == 0) frame_out << "  (no counters moving)\n";
     if (!stale_reason.empty()) {
       frame_out << "\nSTALE — last poll failed (" << stale_reason << "); showing previous data\n";
     }
@@ -266,8 +196,8 @@ int run_history(const std::string& path, std::size_t window) {
       hist::HistoryStore::load_file(path, hist::LoadMode::kLenient, &stats);
   store.publish_gauges(&stats);
   std::printf("perf history — %s\n", path.c_str());
-  std::printf("runs %zu   bench entries %zu   records %zu   cost rows %zu\n", store.runs(),
-              store.bench_entries(), store.records().size(), store.cost_rows());
+  std::printf("runs %zu   bench entries %zu   records %zu\n", store.runs(),
+              store.bench_entries(), store.records().size());
   if (stats.skipped_lines > 0 || stats.duplicates > 0) {
     std::printf("lenient load: %zu line(s) skipped, %zu duplicate(s) superseded\n",
                 stats.skipped_lines, stats.duplicates);
@@ -298,11 +228,10 @@ int run_history(const std::string& path, std::size_t window) {
 int usage() {
   std::fprintf(stderr,
                "usage: telemetry_tool --connect ADDRESS [--endpoint PATH] [--list]\n"
-               "                      [--watch] [--fleet] [--metric NAME]... [--interval-ms N]\n"
+               "                      [--watch] [--metric NAME]... [--interval-ms N]\n"
                "                      [--frames N] [--no-clear]\n"
                "       telemetry_tool --history FILE [--window K]\n"
                "  ADDRESS: \"HOST:PORT\" or \"unix:PATH\"\n"
-               "  --fleet: render the fleet.* supervisor dashboard instead of a chart\n"
                "  --history: render a speedscale.history/1 trajectory offline\n");
   return 2;
 }
@@ -313,7 +242,7 @@ int main(int argc, char** argv) {
   std::string address, endpoint = "/metrics", history_path;
   std::vector<std::string> metrics;
   long interval_ms = 500, frames = 0, window = 8;
-  bool watch = false, list = false, clear = true, fleet = false;
+  bool watch = false, list = false, clear = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--connect" && i + 1 < argc) {
@@ -331,9 +260,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--frames" && i + 1 < argc) {
       frames = std::atol(argv[++i]);
     } else if (arg == "--watch") {
-      watch = true;
-    } else if (arg == "--fleet") {
-      fleet = true;
       watch = true;
     } else if (arg == "--list") {
       list = true;
@@ -355,7 +281,7 @@ int main(int argc, char** argv) {
   if (address.empty() || interval_ms < 1 || frames < 0) return usage();
 
   try {
-    if (watch) return run_watch(address, metrics, interval_ms, frames, clear, fleet);
+    if (watch) return run_watch(address, metrics, interval_ms, frames, clear);
     if (list) return run_list(address);
     const std::string body = obs::live::scrape(address, endpoint);
     std::fputs(body.c_str(), stdout);

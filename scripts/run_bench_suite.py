@@ -20,7 +20,6 @@ the counter half.  Refresh the committed baselines with:
 
     scripts/run_bench_suite.py --build-dir build --out BENCH_PR3.json \
         --pr5-out BENCH_PR5.json --pr6-out BENCH_PR6.json \
-        --pr7-out BENCH_PR7.json --pr8-out BENCH_PR8.json \
         --pr9-out BENCH_PR9.json --pr10-out BENCH_PR10.json
 
 `--jobs N` shards the runner's (bench x repetition) grid across N workers;
@@ -43,7 +42,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 
 SCHEMA = "speedscale.bench_ledger/1"
 
@@ -144,18 +142,9 @@ def main():
     ap.add_argument("--pr6-out", default=None,
                     help="also write the live-telemetry ledger (live.* pinned counters "
                          "under a running sampler + E23 overhead wall rows) here")
-    ap.add_argument("--pr7-out", default=None,
-                    help="also write the supervised-fleet ledger (same pinned benches "
-                         "sharded across --fleet worker processes; counters must match "
-                         "the serial ledger entry-for-entry) here")
-    ap.add_argument("--pr8-out", default=None,
-                    help="also write the fleet-observability ledger (obs.fleet_* wire-"
-                         "format byte tallies + plane-on vs plane-off fleet wall rows, "
-                         "the E25 overhead evidence) here")
     ap.add_argument("--pr9-out", default=None,
                     help="also write the perf-history ledger (obs.history_* trajectory "
-                         "store round-trip tallies + supervisor.plan_* LPT planner "
-                         "counters) here")
+                         "store round-trip tallies) here")
     ap.add_argument("--pr10-out", default=None,
                     help="also write the streaming-engine ledger (engine.stream pinned "
                          "suite entries + the 10M-job bench_engine_stream run with its "
@@ -182,22 +171,16 @@ def main():
 
     # Each PR's bench family lives in its own ledger (like live.* and the
     # sweep-suite pair before it), so the older committed baselines keep
-    # their entry sets.  PINNED_EXCLUDES is the shared exclusion list every
-    # serial/fleet run of the common pinned suite uses.
+    # their entry sets.  PINNED_EXCLUDES keeps those families out of the
+    # common pinned suite.
     PINNED_EXCLUDES = ["--exclude", "analysis.sweep_suite",
                        "--exclude", "live.",
-                       "--exclude", "obs.fleet",
                        "--exclude", "obs.history",
-                       "--exclude", "supervisor.plan",
                        "--exclude", "engine.stream"]
     ledger = run_suite_runner(args.build_dir, args.quick, jobs=args.jobs,
                               extra_args=list(PINNED_EXCLUDES))
     if args.suite:
         ledger["suite"] = args.suite
-    # Snapshot the runner's counter half before gbench rows are merged in:
-    # the fleet cross-check below compares against exactly these entries.
-    serial_counters = {name: entry["counters"]
-                       for name, entry in ledger["entries"].items()}
 
     if not args.skip_gbench:
         reps = 1 if args.quick else 3
@@ -235,87 +218,13 @@ def main():
                 pr6["entries"][name] = entry
         write_ledger(args.pr6_out, pr6)
 
-    if args.pr7_out:
-        # Supervised fleet (ISSUE 7 / E24): the same pinned benches, but
-        # sharded across supervised worker *processes* through the shard-log
-        # checkpoint path (src/robust/supervisor/).  The process boundary,
-        # like --jobs' thread boundary, must be unobservable in the
-        # deterministic half, so the fleet ledger's counters are cross-checked
-        # entry-for-entry against the serial run above before being written.
-        worker = os.path.join(args.build_dir, "examples", "sweep_worker")
-        if not os.path.exists(worker):
-            sys.exit(f"error: {worker} not found — build the Release tree first")
-        with tempfile.TemporaryDirectory(prefix="speedscale_fleet_") as fleet_dir:
-            pr7 = run_suite_runner(
-                args.build_dir, args.quick, jobs=1,
-                extra_args=PINNED_EXCLUDES +
-                           ["--fleet", "2",
-                            "--fleet-dir", os.path.join(fleet_dir, "work"),
-                            "--worker", worker,
-                            "--suite", "pr7-fleet"])
-        if set(pr7["entries"]) != set(serial_counters):
-            sys.exit("error: fleet ledger entry set differs from the serial run: "
-                     f"{sorted(set(pr7['entries']) ^ set(serial_counters))}")
-        for name, entry in pr7["entries"].items():
-            if entry["counters"] != serial_counters[name]:
-                sys.exit(f"error: {name}: fleet counters diverge from the serial "
-                         f"run — the process boundary leaked into the deterministic half")
-        write_ledger(args.pr7_out, pr7)
-
-    if args.pr8_out:
-        # Fleet observability plane (ISSUE 8 / E25).  Two halves:
-        #
-        # * the obs.fleet_* pinned benches — serialize/parse round-trips of
-        #   the plane's wire formats (speedscale.log/1, fleet events/trace,
-        #   the cost ledger), whose byte tallies sit under the hard counter
-        #   gate: a format drift must be a conscious baseline refresh;
-        # * a plane-on vs plane-off fleet run of the same pinned suite,
-        #   recorded as advisory whole-run wall rows — the E25 overhead
-        #   evidence.  Both runs' counters are cross-checked against the
-        #   serial run above: the plane must stay unobservable in the
-        #   deterministic half.
-        pr8 = run_suite_runner(args.build_dir, args.quick, jobs=1,
-                               extra_args=["--filter", "obs.fleet",
-                                           "--suite", "pr8-observability"])
-        worker = os.path.join(args.build_dir, "examples", "sweep_worker")
-        if not os.path.exists(worker):
-            sys.exit(f"error: {worker} not found — build the Release tree first")
-        # Advisory wall rows need the same noise discipline as every other
-        # wall sample: >= 3 repetitions per label, so bench_compare's
-        # min-over-reps has something to minimize over.
-        E25_REPS = 3
-        for label, extra in (("plane_on", []), ("plane_off", ["--no-fleet-obs"])):
-            walls = []
-            for _ in range(E25_REPS):
-                with tempfile.TemporaryDirectory(prefix="speedscale_fleet_") as fleet_dir:
-                    t0 = time.monotonic()
-                    run = run_suite_runner(
-                        args.build_dir, args.quick, jobs=1,
-                        extra_args=PINNED_EXCLUDES +
-                                   ["--fleet", "2",
-                                    "--fleet-dir", os.path.join(fleet_dir, "work"),
-                                    "--worker", worker,
-                                    "--suite", f"pr8-{label}"] + extra)
-                    walls.append((time.monotonic() - t0) * 1e9)
-                for name, entry in run["entries"].items():
-                    if entry["counters"] != serial_counters.get(name):
-                        sys.exit(f"error: {name}: fleet ({label}) counters diverge from "
-                                 f"the serial run — the observability plane leaked into "
-                                 f"the deterministic half")
-            pr8["entries"][f"fleet.e25_{label}"] = {
-                "counters": {}, "repetitions": len(walls), "source": "fleet_run",
-                "wall_ns": walls}
-        write_ledger(args.pr8_out, pr8)
-
     if args.pr9_out:
         # Perf-history observatory (ISSUE 9): the obs.history_* pinned
         # benches pin the speedscale.history/1 wire format (byte tallies,
-        # strict/lenient load accounting, sentinel verdict counts) and the
-        # supervisor.plan_* benches pin the LPT planner (items moved,
-        # makespans in milli-units) — all under the hard counter gate.
+        # strict/lenient load accounting, sentinel verdict counts) under the
+        # hard counter gate.
         pr9 = run_suite_runner(args.build_dir, args.quick, jobs=1,
                                extra_args=["--filter", "obs.history",
-                                           "--filter", "supervisor.plan",
                                            "--suite", "pr9-history"])
         write_ledger(args.pr9_out, pr9)
 

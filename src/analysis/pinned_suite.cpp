@@ -1,7 +1,6 @@
 #include "src/analysis/pinned_suite.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 
 #include "src/algo/algorithm_c.h"
@@ -13,14 +12,10 @@
 #include "src/core/power.h"
 #include "src/numerics/roots.h"
 #include "src/obs/cert/potential_tracker.h"
-#include "src/obs/fleet/cost_ledger.h"
-#include "src/obs/fleet/fleet_trace.h"
-#include "src/obs/history/cost_model.h"
 #include "src/obs/history/history_store.h"
 #include "src/obs/history/sentinel.h"
 #include "src/obs/live/telemetry_hub.h"
 #include "src/obs/perf/bench_ledger.h"
-#include "src/obs/log/logger.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/robust/guarded_engine.h"
@@ -186,117 +181,12 @@ std::vector<PinnedBench> build_pinned_suite() {
          engine::StreamEngine eng(options);
          (void)eng.run(source);
        }},
-      // The fleet observability plane (PR 8): serialize/parse round-trips of
-      // its three wire formats over fixed corpora, pinning the byte and
-      // record tallies.  The formats are byte-diffability contracts (golden
-      // fleet artifacts, merged logs), so a drift in encoded size is a drift
-      // in the contract — the gate forces it to be a conscious change.  The
-      // tallies are counted here in the bench body: the plane's library code
-      // deliberately never touches the registry (log volume must not perturb
-      // per-item counter deltas).
-      {"obs.fleet_log/512",
-       [] {
-         std::int64_t bytes = 0;
-         for (int i = 0; i < 512; ++i) {
-           obs::log::LogRecord record;
-           record.ts = static_cast<double>(i) / 1000.0;
-           record.seq = static_cast<std::uint64_t>(i);
-           record.level = (i % 3 == 0) ? obs::log::Level::kWarn : obs::log::Level::kInfo;
-           record.component = (i % 2 == 0) ? "supervisor" : "sweep_worker";
-           record.message = "pinned fleet log record";
-           record.fields = {obs::log::kv("item", static_cast<std::int64_t>(i)),
-                            obs::log::kv("path", "/tmp/shard_0.jsonl"),
-                            obs::log::kv("ratio", 1.0 + static_cast<double>(i % 7))};
-           record.tags = {"bench", i % 4, i % 2};
-           const std::string line = obs::log::record_json(record);
-           obs::log::LogRecord back;
-           if (!obs::log::parse_record(line, back) || obs::log::record_json(back) != line) {
-             throw ModelError("obs.fleet_log bench: record round-trip drifted");
-           }
-           bytes += static_cast<std::int64_t>(line.size());
-         }
-         OBS_COUNT("obs.fleet.log_records", 512);
-         OBS_COUNT("obs.fleet.log_bytes", bytes);
-       }},
-      {"obs.fleet_trace/64",
-       [] {
-         // A synthetic chaos run: 4 shards, 2 incarnations each, 8 items per
-         // shard with the crash landing mid-item — every renderer feature
-         // (process tracks, slices, lost-item instants) on a fixed input.
-         obs::fleet::FleetTraceInput input;
-         input.run_id = "bench";
-         double ts = 0.0;
-         auto ev = [&ts, &input](std::size_t shard) {
-           obs::fleet::FleetEvent e;
-           e.run_id = "bench";
-           e.ts = ts;
-           ts += 0.001;
-           e.shard = static_cast<long>(shard);
-           return e;
-         };
-         for (std::size_t shard = 0; shard < 4; ++shard) {
-           std::vector<obs::fleet::FleetEvent> events;
-           for (long inc = 0; inc < 2; ++inc) {
-             obs::fleet::FleetEvent start = ev(shard);
-             start.kind = obs::fleet::FleetEventKind::kWorkerStart;
-             start.incarnation = inc;
-             events.push_back(start);
-             for (std::int64_t item = inc * 4; item < inc * 4 + 4; ++item) {
-               obs::fleet::FleetEvent begin = ev(shard);
-               begin.kind = obs::fleet::FleetEventKind::kItemBegin;
-               begin.incarnation = inc;
-               begin.item = item;
-               events.push_back(begin);
-               if (inc == 0 && item == 3) break;  // the crash: begun, never ended
-               obs::fleet::FleetEvent end = begin;
-               end.kind = obs::fleet::FleetEventKind::kItemEnd;
-               end.ts = ts;
-               ts += 0.001;
-               end.wall_ms = 1.5;
-               events.push_back(end);
-             }
-           }
-           input.worker_events.push_back(std::move(events));
-           obs::fleet::FleetEvent spawn = ev(shard);
-           spawn.kind = obs::fleet::FleetEventKind::kSpawn;
-           spawn.incarnation = 0;
-           spawn.detail = "pid 1";
-           input.supervisor_events.push_back(spawn);
-         }
-         const std::string trace = obs::fleet::fleet_chrome_trace_json(input);
-         if (trace != obs::fleet::fleet_chrome_trace_json(input)) {
-           throw ModelError("obs.fleet_trace bench: trace serialization unstable");
-         }
-         OBS_COUNT("obs.fleet.trace_bytes", static_cast<std::int64_t>(trace.size()));
-       }},
-      {"obs.fleet_cost/256",
-       [] {
-         std::vector<obs::fleet::CostRow> rows;
-         for (std::int64_t i = 0; i < 256; ++i) {
-           obs::fleet::CostRow row;
-           row.index = i;
-           row.shard = i % 8;
-           row.incarnation = (i % 16 == 0) ? 1 : 0;
-           row.wall_ms = 0.5 + static_cast<double>(i % 11);
-           row.work = {{"sim.segments", 10 + i % 5}, {"opt.cache.hits", i % 3}};
-           rows.push_back(std::move(row));
-         }
-         const obs::fleet::FleetCostReport report =
-             obs::fleet::build_cost_report(std::move(rows), "bench");
-         const std::string doc = report.to_json();
-         if (obs::fleet::parse_cost_report(doc).to_json() != doc) {
-           throw ModelError("obs.fleet_cost bench: ledger round-trip drifted");
-         }
-         OBS_COUNT("obs.fleet.cost_bytes", static_cast<std::int64_t>(doc.size()));
-         OBS_COUNT("obs.fleet.cost_table_bytes",
-                   static_cast<std::int64_t>(report.table().size()));
-       }},
       // The perf-history observatory (PR 9): a fixed synthetic trajectory —
-      // four bench-ledger runs (one injected counter regression in the last
-      // run) plus a cost-ledger run — pushed through the full stack: strict
-      // round-trip must be byte-stable, the lenient loader must count a torn
-      // line and a duplicate exactly, and the sentinel must flag exactly the
-      // injected regression.  The byte/record/verdict tallies pin the
+      // four bench-ledger runs, one injected counter regression in the last
+      // run — pushed through the full stack: strict round-trip must be
+      // byte-stable, the lenient loader must count a torn line and a
+      // duplicate exactly, and the sentinel must flag exactly the injected
+      // regression.  The byte/record/verdict tallies pin the
       // speedscale.history/1 wire format and the sentinel's policy.
       {"obs.history_store/48",
        [] {
@@ -314,19 +204,6 @@ std::vector<PinnedBench> build_pinned_suite() {
            }
            store.ingest_bench_ledger(ledger.to_json());
          }
-         std::vector<obs::fleet::CostRow> rows;
-         for (std::int64_t i = 0; i < 24; ++i) {
-           obs::fleet::CostRow row;
-           row.index = i;
-           row.shard = i % 3;
-           row.incarnation = 0;
-           row.wall_ms = 1.0 + static_cast<double>(i % 7);
-           row.work = {{"sim.segments", 5 + i % 4}};
-           rows.push_back(std::move(row));
-         }
-         store.ingest_cost_report(
-             obs::fleet::build_cost_report(std::move(rows), "pinned").to_json());
-
          const std::string doc = store.to_jsonl();
          const obs::history::HistoryStore reparsed =
              obs::history::HistoryStore::parse(doc, obs::history::LoadMode::kStrict);
@@ -356,31 +233,6 @@ std::vector<PinnedBench> build_pinned_suite() {
          OBS_COUNT("obs.history.sentinel_regression",
                    static_cast<std::int64_t>(report.n_regression));
        }},
-      // The cost-model shard planner (PR 9): a fixed skewed cost vector
-      // through deterministic LPT.  The moved-item and makespan tallies pin
-      // the plan — any change to the balancing policy must arrive with a
-      // baseline refresh, exactly like a wire-format drift.
-      {"supervisor.plan_balance/256",
-       [] {
-         std::vector<double> costs(256);
-         for (std::size_t i = 0; i < costs.size(); ++i) {
-           costs[i] = 1.0 + static_cast<double>(i % 17) + (i % 5 == 0 ? 9.0 : 0.0);
-         }
-         const obs::history::ShardPlan plan = obs::history::plan_assignment(costs, 8);
-         const obs::history::ShardPlan again = obs::history::plan_assignment(costs, 8);
-         if (plan.assignment != again.assignment) {
-           throw ModelError("supervisor.plan_balance bench: plan not deterministic");
-         }
-         if (plan.makespan > plan.static_makespan) {
-           throw ModelError("supervisor.plan_balance bench: LPT worse than static");
-         }
-         OBS_COUNT("supervisor.plan.items", static_cast<std::int64_t>(plan.assignment.size()));
-         OBS_COUNT("supervisor.plan.moved_items", static_cast<std::int64_t>(plan.moved_items));
-         OBS_COUNT("supervisor.plan.makespan_milli",
-                   static_cast<std::int64_t>(std::llround(plan.makespan * 1000.0)));
-         OBS_COUNT("supervisor.plan.static_makespan_milli",
-                   static_cast<std::int64_t>(std::llround(plan.static_makespan * 1000.0)));
-       }},
       // The sweep-engine determinism pair: same 8-point suite grid at inner
       // jobs 1 and 8.  Identical counters (incl. opt.cache.hits/misses from
       // the per-point memoized OPT solves), different wall — the committed
@@ -396,13 +248,6 @@ std::vector<PinnedBench> build_pinned_suite() {
 const std::vector<PinnedBench>& pinned_bench_suite() {
   static const std::vector<PinnedBench> suite = build_pinned_suite();
   return suite;
-}
-
-const PinnedBench* find_pinned_bench(const std::string& name) {
-  for (const PinnedBench& b : pinned_bench_suite()) {
-    if (b.name == name) return &b;
-  }
-  return nullptr;
 }
 
 }  // namespace speedscale::analysis

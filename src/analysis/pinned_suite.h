@@ -1,13 +1,9 @@
 // The pinned deterministic bench suite, as a library.
 //
-// These workloads used to live inside bench/bench_suite_runner.cpp.  They
-// are the deterministic half of the bench ledger: pinned seeds and configs,
-// so the MetricsRegistry counters each body produces are byte-for-byte
-// reproducible (the runner asserts it across repetitions).  The multi-process
-// fleet (src/robust/supervisor/) ships this grid to worker processes *by
-// bench name*, so the name -> body table must be linkable from both the
-// runner and the sweep_worker entry point — hence a library, not a
-// translation unit of the runner.
+// The deterministic half of the bench ledger: pinned seeds and configs, so
+// the MetricsRegistry counters each body produces are byte-for-byte
+// reproducible (bench/bench_suite_runner.cpp asserts it across repetitions
+// and shards the grid across the in-process SweepScheduler).
 //
 // Changing a seed, size, or config here invalidates every committed
 // BENCH_*.json baseline that pins these names — regenerate them in the same
@@ -33,8 +29,5 @@ struct PinnedBench {
 
 /// The pinned suite, in ledger order.  Built once per process.
 [[nodiscard]] const std::vector<PinnedBench>& pinned_bench_suite();
-
-/// Name lookup into pinned_bench_suite(); nullptr when unknown.
-[[nodiscard]] const PinnedBench* find_pinned_bench(const std::string& name);
 
 }  // namespace speedscale::analysis

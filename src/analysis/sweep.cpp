@@ -111,8 +111,7 @@ void append_outcome_json(std::string& out, const SuiteResult& suite, const AlgoO
   out += '}';
 }
 
-}  // namespace
-
+/// The `{"point":i,...}` object embedded in suite_json()'s "points" array.
 std::string suite_point_json(std::size_t index, const SuiteSweepResult::PointInfo& info,
                              const SuiteResult& suite) {
   std::string out = "{\"point\":" + std::to_string(index);
@@ -134,6 +133,8 @@ std::string suite_point_json(std::size_t index, const SuiteSweepResult::PointInf
   return out;
 }
 
+/// One point's slice of cert_jsonl(): a {"kind":"cert_stream",...} header
+/// line per certified outcome followed by its certificate records.
 std::string suite_point_cert_jsonl(std::size_t index, const SuiteResult& suite) {
   std::string out;
   for (const AlgoOutcome& o : suite.outcomes) {
@@ -146,12 +147,13 @@ std::string suite_point_cert_jsonl(std::size_t index, const SuiteResult& suite) 
   return out;
 }
 
-std::string assemble_suite_sweep_json(const std::vector<std::string>& point_fragments,
-                                      const std::map<std::string, std::int64_t>& merged_counters) {
+}  // namespace
+
+std::string SuiteSweepResult::suite_json() const {
   std::string out = "{\"schema\":\"speedscale.suite_sweep/1\",\"points\":[";
-  for (std::size_t i = 0; i < point_fragments.size(); ++i) {
+  for (std::size_t i = 0; i < suites.size(); ++i) {
     if (i > 0) out += ',';
-    out += point_fragments[i];
+    out += suite_point_json(i, info[i], suites[i]);
   }
   out += "],\"counters\":{";
   bool first = true;
@@ -163,15 +165,6 @@ std::string assemble_suite_sweep_json(const std::vector<std::string>& point_frag
   }
   out += "}}";
   return out;
-}
-
-std::string SuiteSweepResult::suite_json() const {
-  std::vector<std::string> fragments;
-  fragments.reserve(suites.size());
-  for (std::size_t i = 0; i < suites.size(); ++i) {
-    fragments.push_back(suite_point_json(i, info[i], suites[i]));
-  }
-  return assemble_suite_sweep_json(fragments, merged_counters);
 }
 
 std::string SuiteSweepResult::cert_jsonl() const {

@@ -93,30 +93,4 @@ struct SuiteSweepResult {
                                                const SuiteOptions& suite_options,
                                                const SweepOptions& sweep_options = {});
 
-// --- Per-point serialization primitives ----------------------------------
-//
-// The multi-process fleet (src/robust/supervisor/) ships suite points to
-// worker processes and merges their results back into one artifact that must
-// be byte-identical to a serial run's.  That only works if the per-point
-// fragments are produced by the *same* serialization code in both paths, so
-// the pieces SuiteSweepResult::suite_json()/cert_jsonl() are assembled from
-// are exposed here.
-
-/// The `{"point":i,...}` object embedded in suite_json()'s "points" array.
-[[nodiscard]] std::string suite_point_json(std::size_t index,
-                                           const SuiteSweepResult::PointInfo& info,
-                                           const SuiteResult& suite);
-
-/// One point's slice of cert_jsonl(): a {"kind":"cert_stream",...} header
-/// line per certified outcome followed by its certificate records.  Empty
-/// when nothing in the point certified.
-[[nodiscard]] std::string suite_point_cert_jsonl(std::size_t index, const SuiteResult& suite);
-
-/// Assembles the whole-sweep JSON document from per-point fragments (in
-/// index order) and the merged counter map — the inverse decomposition of
-/// SuiteSweepResult::suite_json().
-[[nodiscard]] std::string assemble_suite_sweep_json(
-    const std::vector<std::string>& point_fragments,
-    const std::map<std::string, std::int64_t>& merged_counters);
-
 }  // namespace speedscale::analysis

@@ -1,9 +1,9 @@
 // Streaming Algorithm NC (uniform density): millions of jobs, O(active) RSS.
 //
-// The exact simulators materialize whole instances and full RunResults; for
-// ROADMAP item 1 ("millions of jobs per run") the engine must instead be as
-// online as the algorithm it simulates.  This engine pulls release-ordered
-// jobs from a JobSource and keeps only:
+// The exact simulators materialize whole instances and full RunResults; to
+// run millions of jobs the engine must instead be as online as the
+// algorithm it simulates.  This engine pulls release-ordered jobs from a
+// JobSource and keeps only:
 //
 //   * the active jobs, in a JobArena (SoA, free-list recycled slots);
 //   * one O(1) virtual-clairvoyant tracker per machine: with uniform density

@@ -65,14 +65,6 @@ std::int64_t require_int(const JsonValue& obj, const char* key, const std::strin
   return static_cast<std::int64_t>(v->number);
 }
 
-double require_number(const JsonValue& obj, const char* key, const std::string& ctx) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number() || !std::isfinite(v->number)) {
-    malformed(std::string("expected number '") + key + "'", ctx);
-  }
-  return v->number;
-}
-
 std::string require_string(const JsonValue& obj, const char* key, const std::string& ctx) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_string()) {
@@ -111,11 +103,6 @@ HistoryRecord parse_record(const JsonValue& v, const std::string& ctx) {
       if (!w.is_number() || !std::isfinite(w.number)) malformed("bad wall_ns sample", ctx);
       r.wall_ns.push_back(w.number);
     }
-  } else if (r.kind == "cost") {
-    r.run_id = require_string(v, "run_id", ctx);
-    r.shard = static_cast<long>(require_int(v, "shard", ctx));
-    r.wall_ms = require_number(v, "wall_ms", ctx);
-    r.work_units = require_int(v, "work_units", ctx);
   } else {
     malformed("unknown record kind '" + r.kind + "'", ctx);
   }
@@ -125,35 +112,21 @@ HistoryRecord parse_record(const JsonValue& v, const std::string& ctx) {
 }  // namespace
 
 std::string HistoryRecord::to_json() const {
-  std::string out;
-  if (kind == "bench") {
-    out += "{\"config\":";
-    append_string_map(out, config);
-    out += ",\"counters\":";
-    append_counter_map(out, counters);
-    out += ",\"entry\":";
-    append_json_string(out, entry);
-    out += ",\"kind\":\"bench\",\"run\":" + std::to_string(run);
-    out += ",\"suite\":";
-    append_json_string(out, suite);
-    out += ",\"wall_ns\":[";
-    for (std::size_t i = 0; i < wall_ns.size(); ++i) {
-      if (i > 0) out += ',';
-      append_json_number(out, wall_ns[i]);
-    }
-    out += "]}";
-  } else {
-    out += "{\"entry\":";
-    append_json_string(out, entry);
-    out += ",\"kind\":\"cost\",\"run\":" + std::to_string(run);
-    out += ",\"run_id\":";
-    append_json_string(out, run_id);
-    out += ",\"shard\":" + std::to_string(shard);
-    out += ",\"wall_ms\":";
-    append_json_number(out, wall_ms);
-    out += ",\"work_units\":" + std::to_string(work_units);
-    out += '}';
+  std::string out = "{\"config\":";
+  append_string_map(out, config);
+  out += ",\"counters\":";
+  append_counter_map(out, counters);
+  out += ",\"entry\":";
+  append_json_string(out, entry);
+  out += ",\"kind\":\"bench\",\"run\":" + std::to_string(run);
+  out += ",\"suite\":";
+  append_json_string(out, suite);
+  out += ",\"wall_ns\":[";
+  for (std::size_t i = 0; i < wall_ns.size(); ++i) {
+    if (i > 0) out += ',';
+    append_json_number(out, wall_ns[i]);
   }
+  out += "]}";
   return out;
 }
 
@@ -197,12 +170,6 @@ std::size_t HistoryStore::bench_entries() const {
   return names.size();
 }
 
-std::size_t HistoryStore::cost_rows() const {
-  std::size_t n = 0;
-  for (const HistoryRecord& r : records_) n += r.kind == "cost" ? 1 : 0;
-  return n;
-}
-
 void HistoryStore::append(HistoryRecord record) {
   for (HistoryRecord& r : records_) {
     if (record_key(r) == record_key(record)) {
@@ -226,53 +193,6 @@ std::int64_t HistoryStore::ingest_bench_ledger(const std::string& ledger_json) {
     r.config = ledger.config();
     r.counters = entry.counters;
     r.wall_ns = entry.wall_ns;
-    records_.push_back(std::move(r));
-  }
-  canonicalize();
-  return run;
-}
-
-std::int64_t HistoryStore::ingest_cost_report(const std::string& json) {
-  JsonValue root;
-  try {
-    root = parse_json(json);
-  } catch (const std::exception& e) {
-    malformed(std::string("unparseable cost document: ") + e.what());
-  }
-  if (!root.is_object()) malformed("cost document is not an object");
-  // fleet_state.json embeds the cost ledger under "cost"; accept both.
-  const JsonValue* doc = &root;
-  const JsonValue* schema = root.find("schema");
-  if (schema != nullptr && schema->is_string() &&
-      schema->string == "speedscale.fleet_state/1") {
-    doc = root.find("cost");
-    if (doc == nullptr) malformed("fleet_state document has no embedded cost ledger");
-    schema = doc->find("schema");
-  }
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != "speedscale.fleet_cost/1") {
-    malformed("unknown cost schema");
-  }
-  const std::string run_id = require_string(*doc, "run_id", "cost");
-  const JsonValue* rows = doc->find("rows");
-  if (rows == nullptr || !rows->is_array()) malformed("expected array 'rows'", "cost");
-  const std::int64_t run = next_run();
-  for (const JsonValue& row : rows->array) {
-    if (!row.is_object()) malformed("cost row is not an object");
-    HistoryRecord r;
-    r.kind = "cost";
-    r.run = run;
-    r.run_id = run_id;
-    const std::int64_t index = require_int(row, "index", "cost row");
-    r.entry = "item/" + std::to_string(index);
-    r.shard = static_cast<long>(require_int(row, "shard", "cost row"));
-    r.wall_ms = require_number(row, "wall_ms", "cost row");
-    const JsonValue* work = row.find("work");
-    if (work == nullptr || !work->is_object()) malformed("expected object 'work'", "cost row");
-    for (const auto& [k, val] : work->object) {
-      if (!val.is_number()) malformed("work value is not a number", "cost row");
-      r.work_units += static_cast<std::int64_t>(val.number);
-    }
     records_.push_back(std::move(r));
   }
   canonicalize();
@@ -378,7 +298,6 @@ void HistoryStore::publish_gauges(const LoadStats* stats) const {
   reg.gauge("history.runs").set(static_cast<double>(runs()));
   reg.gauge("history.bench_entries").set(static_cast<double>(bench_entries()));
   reg.gauge("history.records").set(static_cast<double>(records_.size()));
-  reg.gauge("history.cost_rows").set(static_cast<double>(cost_rows()));
   if (stats != nullptr) {
     reg.gauge("history.load_skipped_lines").set(static_cast<double>(stats->skipped_lines));
     reg.gauge("history.load_duplicates").set(static_cast<double>(stats->duplicates));

@@ -1,25 +1,21 @@
-// Perf-history trajectory store: every bench ledger and fleet cost ledger,
-// longitudinally, in one byte-stable JSONL file.
+// Perf-history trajectory store: every bench ledger, longitudinally, in one
+// byte-stable JSONL file.
 //
 // The repo's point-in-time perf artifacts (BENCH_PR*.json work-counter
-// ledgers, the PR 8 per-item speedscale.fleet_cost/1 ledgers) each describe
-// ONE run.  The HistoryStore ingests any number of them into a single
-// `speedscale.history/1` trajectory, keyed by (run, kind, entry), so the
-// regression sentinel (sentinel.h) can fit noise bands over the last K runs
-// and the shard planner (cost_model.h) can price items from measured
-// history instead of assuming uniform cost.
+// ledgers) each describe ONE run.  The HistoryStore ingests any number of
+// them into a single `speedscale.history/1` trajectory, keyed by
+// (run, kind, entry), so the regression sentinel (sentinel.h) can fit noise
+// bands over the last K runs.
 //
 // Wire format (speedscale.history/1): a header line
 //
 //   {"schema":"speedscale.history/1"}
 //
 // followed by one sorted-key JSON record per line, records ordered by
-// (run, kind, entry).  Two record kinds:
+// (run, kind, entry).  One record kind:
 //
 //   bench  {"config":{...},"counters":{...},"entry":"<bench>",
 //           "kind":"bench","run":N,"suite":"<label>","wall_ns":[...]}
-//   cost   {"entry":"item/<index>","kind":"cost","run":N,
-//           "run_id":"<id>","shard":S,"wall_ms":W,"work_units":U}
 //
 // `run` is a monotone ingest sequence number assigned by the store (one per
 // ingested document); `config` carries the source ledger's config map —
@@ -44,28 +40,21 @@ namespace speedscale::obs::history {
 
 inline constexpr const char* kHistorySchema = "speedscale.history/1";
 
-/// One trajectory record (tagged by `kind`; unused fields stay defaulted).
+/// One trajectory record: one bench entry of one ingested ledger.
 struct HistoryRecord {
-  std::string kind = "bench";  ///< "bench" | "cost"
+  std::string kind = "bench";  ///< the only kind; part of the record key
   std::int64_t run = 0;        ///< monotone ingest sequence number
-  std::string entry;           ///< bench name, or "item/<index>" for costs
+  std::string entry;           ///< bench name
 
-  // kind == "bench"
   std::string suite;
   std::map<std::string, std::string> config;
   std::map<std::string, std::int64_t> counters;
   std::vector<double> wall_ns;
 
-  // kind == "cost"
-  std::string run_id;
-  long shard = -1;
-  double wall_ms = 0.0;
-  std::int64_t work_units = 0;
-
   /// Canonical one-line serialization (sorted keys, "%.17g" numbers).
   [[nodiscard]] std::string to_json() const;
 
-  /// Noise-robust wall summary for bench records (0 when no samples).
+  /// Noise-robust wall summary (0 when no samples).
   [[nodiscard]] double wall_min_ns() const;
 };
 
@@ -87,8 +76,6 @@ class HistoryStore {
   [[nodiscard]] std::size_t runs() const;
   /// Distinct bench entry names present.
   [[nodiscard]] std::size_t bench_entries() const;
-  /// Number of cost records present.
-  [[nodiscard]] std::size_t cost_rows() const;
 
   /// Inserts one record, replacing any existing (run, kind, entry) match,
   /// and keeps the store canonically ordered.
@@ -98,13 +85,6 @@ class HistoryStore {
   /// one bench record per ledger entry, config copied through.  Returns the
   /// assigned run id.  Throws ModelError on a malformed ledger.
   std::int64_t ingest_bench_ledger(const std::string& ledger_json);
-
-  /// Ingests per-item cost rows as run next_run(): accepts either a bare
-  /// speedscale.fleet_cost/1 document or a speedscale.fleet_state/1 document
-  /// with an embedded "cost" object (fleet_state.json as written by the
-  /// supervisor).  Returns the assigned run id.  Throws RobustError
-  /// (kIoMalformed) when neither schema matches.
-  std::int64_t ingest_cost_report(const std::string& json);
 
   /// Canonical serialization: header line + one record per line.
   [[nodiscard]] std::string to_jsonl() const;
@@ -121,9 +101,8 @@ class HistoryStore {
                                 LoadStats* stats = nullptr);
 
   /// Publishes history.* gauges (gauges only — the determinism contract):
-  /// history.runs, history.bench_entries, history.records,
-  /// history.cost_rows, plus history.load_{skipped_lines,duplicates} from
-  /// `stats` when given.
+  /// history.runs, history.bench_entries, history.records, plus
+  /// history.load_{skipped_lines,duplicates} from `stats` when given.
   void publish_gauges(const LoadStats* stats = nullptr) const;
 
  private:

@@ -7,7 +7,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "src/obs/log/logger.h"
 #include "src/obs/metrics_registry.h"
 #include "src/robust/diagnostics.h"
 
@@ -103,10 +102,9 @@ std::optional<SearchCheckpoint> load_search_checkpoint(const std::string& path,
     // active shard scope and perturb per-item counter deltas.
     obs::registry().counter("robust.checkpoint.torn_lines").add(
         static_cast<std::int64_t>(skipped));
-    // Structured (speedscale.log/1) with the stderr mirror preserving the
-    // human-readable WARN line behind the logger's verbosity threshold.
-    obs::log::warn("robust", "skipped torn checkpoint line(s)",
-                   {obs::log::kv("lines", skipped), obs::log::kv("path", path)});
+    const Diagnostic warn(ErrorCode::kIoMalformed, "skipped torn checkpoint line(s)",
+                          std::to_string(skipped) + " line(s) in " + path);
+    std::fprintf(stderr, "[robust] WARN: %s\n", warn.to_string().c_str());
   }
   if (skipped_lines) *skipped_lines = skipped;
   return best;

@@ -16,24 +16,10 @@ const char* fault_site_name(FaultSite site) {
       return "pool_task";
     case FaultSite::kSweepItemStall:
       return "sweep_item_stall";
-    case FaultSite::kWorkerCrashMidShard:
-      return "worker_crash_mid_shard";
-    case FaultSite::kCheckpointTornTail:
-      return "checkpoint_torn_tail";
-    case FaultSite::kHeartbeatStall:
-      return "heartbeat_stall";
     case FaultSite::kSiteCount:
       break;
   }
   return "unknown";
-}
-
-std::optional<FaultSite> fault_site_by_name(const std::string& name) {
-  for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-    const auto site = static_cast<FaultSite>(i);
-    if (name == fault_site_name(site)) return site;
-  }
-  return std::nullopt;
 }
 
 FaultPlan seed_faults(std::uint64_t seed, FaultSite site, int count, std::uint64_t range) {

@@ -19,9 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace speedscale::robust {
@@ -33,17 +31,10 @@ enum class FaultSite : std::uint8_t {
   kTraceLine,       ///< trace writer: truncate/corrupt one CSV line
   kPoolTask,        ///< thread pool: throw from one task body
   kSweepItemStall,  ///< sweep scheduler: stall one item (straggler tests)
-  kWorkerCrashMidShard,  ///< fleet worker: SIGKILL itself before committing an item
-  kCheckpointTornTail,   ///< shard log: tear the line being appended, then die
-  kHeartbeatStall,       ///< fleet worker: stop heartbeating (hang simulation)
   kSiteCount,       // sentinel
 };
 
 [[nodiscard]] const char* fault_site_name(FaultSite site);
-
-/// Inverse of fault_site_name(), for CLI fault plans ("--fault site@index"
-/// on sweep_worker); nullopt when the name matches no site.
-[[nodiscard]] std::optional<FaultSite> fault_site_by_name(const std::string& name);
 
 inline constexpr std::size_t kFaultSiteCount =
     static_cast<std::size_t>(FaultSite::kSiteCount);

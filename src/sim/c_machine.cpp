@@ -96,10 +96,14 @@ void CMachine::advance_to(double t) {
 
     if (t_complete <= t && t_complete <= next_release) {
       // Completion fires (at ties, completion precedes release handling).
-      total_weight_ = std::max(0.0, w_done);
+      // A drained machine holds exactly zero weight: w_done carries the
+      // rounding residue of the decay (~1e-15), which would otherwise make
+      // an idle machine look busier than an exactly-empty one to C-PAR's
+      // least-weight dispatch (Lemma 20 pairs it with NC-PAR's idle rule).
       st.remaining = 0.0;
       st.done = true;
       active_.erase(active_.begin());
+      total_weight_ = active_.empty() ? 0.0 : std::max(0.0, w_done);
       schedule_.set_completion(cur.id, t_complete);
       now_ = t_complete;
       OBS_COUNT("sim.c_machine.completions", 1);

@@ -63,6 +63,29 @@ TEST(CMachine, WorkConservingAndIdle) {
   EXPECT_DOUBLE_EQ(s.speed_at(0.5 * (s.completion(0) + 10.0)), 0.0);
 }
 
+TEST(CMachine, DrainedMachineHoldsExactlyZeroWeight) {
+  // The closed-form decay leaves a rounding residue (~1e-15) in the weight
+  // level at each completion.  A machine with no active job must report
+  // exactly 0, or C-PAR's least-weight dispatch would rank an idle machine
+  // behind an exactly-empty one and diverge from NC-PAR (Lemma 20).
+  for (const double alpha : {1.5, 2.0, 3.0}) {
+    const Instance inst = workload::generate({.n_jobs = 200, .arrival_rate = 0.5, .seed = 7});
+    CMachine m(alpha);
+    std::size_t drains = 0;
+    for (JobId jid : inst.fifo_order()) {
+      m.advance_to(inst.job(jid).release);
+      if (m.active_count() == 0) {
+        ++drains;
+        EXPECT_EQ(m.remaining_weight(), 0.0) << "alpha " << alpha << " at t=" << m.now();
+      }
+      m.add_job(inst.job(jid));
+    }
+    m.run_to_completion();
+    EXPECT_GT(drains, 1u);
+    EXPECT_EQ(m.remaining_weight(), 0.0) << "alpha " << alpha;
+  }
+}
+
 TEST(CMachine, RemainingWeightLeftIsLeftLimit) {
   const double alpha = 2.0;
   const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.5, 1.0, 1.0}});

@@ -473,12 +473,17 @@ TEST(Checkpoint, TornAndGarbageLinesAreSkipped) {
     f << "{\"round\":3,\"step\":1.5,\"ratio\":0.7,\"x\":[]}\n";   // empty x
   }
   robust::append_search_checkpoint(path, {9, 1.25, 1.75, {4.0, 5.0}});
+  // Skipped lines are never silent: the registry counter rises by exactly
+  // the number discarded.
+  const obs::Counter& torn = obs::registry().counter("robust.checkpoint.torn_lines");
+  const std::int64_t before = torn.value();
   std::size_t skipped = 0;
   const auto cp = robust::load_search_checkpoint(path, &skipped);
   ASSERT_TRUE(cp.has_value());
   EXPECT_EQ(cp->next_round, 9);           // the last *valid* line wins
   EXPECT_EQ(cp->x, (std::vector<double>{4.0, 5.0}));
   EXPECT_EQ(skipped, 3u);
+  EXPECT_EQ(torn.value() - before, 3);
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,7 @@
 // Perf-history observatory tests: speedscale.history/1 wire format (golden
 // byte-pin + strict/lenient fuzz corpus in the test_fuzz tradition),
 // sentinel verdict policy (counters hard, wall advisory, drift, changepoint
-// determinism), and the cost model + LPT shard planner.
+// determinism).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/fleet/cost_ledger.h"
-#include "src/obs/history/cost_model.h"
 #include "src/obs/history/history_store.h"
 #include "src/obs/history/sentinel.h"
 #include "src/obs/metrics_registry.h"
@@ -49,28 +47,12 @@ std::string make_ledger(std::int64_t steps, double wall_base = 1000.0) {
   return ledger.to_json();
 }
 
-/// A fixed cost report (one fleet run worth of per-item prices).
-std::string make_cost_report() {
-  std::vector<obs::fleet::CostRow> rows;
-  for (std::int64_t i = 0; i < 6; ++i) {
-    obs::fleet::CostRow row;
-    row.index = i;
-    row.shard = i % 2;
-    row.incarnation = 0;
-    row.wall_ms = 1.0 + static_cast<double>(i) * 0.5;
-    row.work = {{"sim.segments", 10 + i}};
-    rows.push_back(std::move(row));
-  }
-  return obs::fleet::build_cost_report(std::move(rows), "history-test").to_json();
-}
-
-/// The golden trajectory: two clean bench runs plus one cost run.  The
-/// committed tests/golden/history_golden.jsonl pins these exact bytes.
+/// The golden trajectory: two clean bench runs.  The committed
+/// tests/golden/history_golden.jsonl pins these exact bytes.
 hist::HistoryStore make_golden_store() {
   hist::HistoryStore store;
   store.ingest_bench_ledger(make_ledger(500));
   store.ingest_bench_ledger(make_ledger(500, 1040.0));
-  store.ingest_cost_report(make_cost_report());
   return store;
 }
 
@@ -96,10 +78,9 @@ TEST(HistoryStore, GoldenWireFormatBytePinned) {
 TEST(HistoryStore, RecordRoundTripAndCanonicalOrder) {
   const hist::HistoryStore store = make_golden_store();
   ASSERT_FALSE(store.records().empty());
-  EXPECT_EQ(store.runs(), 3u);
+  EXPECT_EQ(store.runs(), 2u);
   EXPECT_EQ(store.bench_entries(), 2u);
-  EXPECT_EQ(store.cost_rows(), 6u);
-  EXPECT_EQ(store.next_run(), 3);
+  EXPECT_EQ(store.next_run(), 2);
   // Canonical (run, kind, entry) order, and every line reparses to itself.
   for (std::size_t i = 1; i < store.records().size(); ++i) {
     const auto& a = store.records()[i - 1];
@@ -141,18 +122,6 @@ TEST(HistoryStore, WriteFileLoadFileRoundTrips) {
       hist::HistoryStore::load_file(path, hist::LoadMode::kLenient, &stats);
   EXPECT_TRUE(empty.records().empty());
   EXPECT_EQ(stats.skipped_lines, 0u);
-}
-
-TEST(HistoryStore, IngestCostAcceptsEmbeddedFleetState) {
-  // fleet_state.json embeds the cost ledger under "cost"; ingest must accept
-  // the wrapper document and produce the same records as the bare ledger.
-  hist::HistoryStore bare;
-  bare.ingest_cost_report(make_cost_report());
-  hist::HistoryStore wrapped;
-  wrapped.ingest_cost_report("{\"schema\":\"speedscale.fleet_state/1\",\"cost\":" +
-                             make_cost_report() + ",\"restarts\":0,\"workers\":[]}");
-  EXPECT_EQ(wrapped.to_jsonl(), bare.to_jsonl());
-  EXPECT_EQ(wrapped.cost_rows(), 6u);
 }
 
 // --- Fuzz corpus: torn / duplicated / out-of-order lines ------------------
@@ -227,10 +196,10 @@ INSTANTIATE_TEST_SUITE_P(
                           "{\"config\":{},\"counters\":{},\"entry\":\"e/4\",\"kind\":"
                           "\"bench\",\"run\":\"zero\",\"suite\":\"s\",\"wall_ns\":[]}\n",
                           1, 1, 0, true},
-        HistoryCorpusCase{"cost_row_ok",
+        HistoryCorpusCase{"retired_cost_kind",
                           "{\"entry\":\"item/0\",\"kind\":\"cost\",\"run\":1,\"run_id\":"
                           "\"r\",\"shard\":0,\"wall_ms\":1.5,\"work_units\":12}\n",
-                          2, 0, 0, false},
+                          1, 1, 0, true},
         HistoryCorpusCase{"blank_lines_ignored", "\n\n", 1, 0, 0, false}));
 
 TEST(HistoryStore, MissingHeaderStrictThrowsLenientSkips) {
@@ -347,56 +316,6 @@ TEST(Sentinel, GaugesPublishVerdictTallies) {
   EXPECT_EQ(reg.gauge("history.runs").value(), 4.0);
   EXPECT_EQ(reg.gauge("history.load_skipped_lines").value(), 3.0);
   EXPECT_EQ(reg.gauge("history.load_duplicates").value(), 1.0);
-}
-
-// --- Cost model & shard planner -------------------------------------------
-
-TEST(CostModel, FitsMediansAndFallsBackUniform) {
-  hist::HistoryStore store;
-  store.ingest_cost_report(make_cost_report());  // item i costs 1.0 + 0.5 i
-  const hist::CostModel model = hist::CostModel::fit(store);
-  EXPECT_FALSE(model.uniform());
-  EXPECT_EQ(model.known_items(), 6u);
-  EXPECT_DOUBLE_EQ(model.item_cost(0), 1.0);
-  EXPECT_DOUBLE_EQ(model.item_cost(5), 3.5);
-  // Unmeasured item: the uniform fallback (median of known medians).
-  EXPECT_DOUBLE_EQ(model.item_cost(100), 2.25);
-  EXPECT_EQ(model.item_work(3), 13);
-  // An empty store prices everything at 1.0.
-  const hist::CostModel empty = hist::CostModel::fit(hist::HistoryStore{});
-  EXPECT_TRUE(empty.uniform());
-  EXPECT_DOUBLE_EQ(empty.item_cost(7), 1.0);
-}
-
-TEST(CostModel, LptPlanIsDeterministicValidAndNoWorseThanStatic) {
-  std::vector<double> costs;
-  for (std::size_t i = 0; i < 64; ++i) {
-    costs.push_back(1.0 + static_cast<double>(i % 13) + (i % 7 == 0 ? 11.0 : 0.0));
-  }
-  for (const std::size_t shards : {1u, 2u, 3u, 5u, 8u}) {
-    const hist::ShardPlan plan = hist::plan_assignment(costs, shards);
-    ASSERT_EQ(plan.assignment.size(), costs.size());
-    for (std::uint32_t s : plan.assignment) EXPECT_LT(s, shards);
-    EXPECT_LE(plan.makespan, plan.static_makespan + 1e-12);
-    const hist::ShardPlan again = hist::plan_assignment(costs, shards);
-    EXPECT_EQ(plan.assignment, again.assignment);
-    // Conservation: every item assigned exactly once (sizes add up).
-    double total = 0.0;
-    for (double c : plan.shard_cost) total += c;
-    double expected = 0.0;
-    for (double c : costs) expected += c;
-    EXPECT_NEAR(total, expected, 1e-9);
-  }
-}
-
-TEST(CostModel, SkewedCostsBeatStaticMakespan) {
-  // One huge item per stripe position 0: static sharding piles them onto
-  // shard 0; LPT must spread them.
-  std::vector<double> costs(32, 1.0);
-  for (std::size_t i = 0; i < costs.size(); i += 4) costs[i] = 20.0;
-  const hist::ShardPlan plan = hist::plan_assignment(costs, 4);
-  EXPECT_LT(plan.makespan, plan.static_makespan);
-  EXPECT_GT(plan.moved_items, 0u);
 }
 
 }  // namespace
