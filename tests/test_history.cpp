@@ -135,6 +135,11 @@ struct HistoryCorpusCase {
   bool strict_throws;
 };
 
+// Print a case as its name so the parameter (and the ctest name derived from
+// it) is stable; the default raw-byte dump includes string-literal addresses,
+// which change with every run under ASLR.
+void PrintTo(const HistoryCorpusCase& c, std::ostream* os) { *os << c.name; }
+
 constexpr const char kValidRecord[] =
     "{\"config\":{},\"counters\":{\"c\":1},\"entry\":\"e/1\",\"kind\":\"bench\",\"run\":0,"
     "\"suite\":\"s\",\"wall_ns\":[1]}";
