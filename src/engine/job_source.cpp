@@ -2,77 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 namespace speedscale::engine {
-
-namespace {
-
-[[noreturn]] void malformed(std::string message, std::size_t line_no) {
-  throw workload::TraceIoError(robust::Diagnostic{robust::ErrorCode::kIoMalformed,
-                                                  std::move(message),
-                                                  "line " + std::to_string(line_no)});
-}
-
-}  // namespace
 
 // --- TraceJobSource ---------------------------------------------------------
 
 TraceJobSource::TraceJobSource(std::istream& is, workload::TraceReadMode mode)
-    : is_(is), mode_(mode) {}
+    : scanner_(is, mode) {}
 
 bool TraceJobSource::next(Job* out) {
-  if (!header_done_) {
-    ++line_no_;
-    if (!std::getline(is_, line_)) malformed("empty stream", 1);
-    if (line_.rfind("id,", 0) != 0) malformed("missing 'id,...' header", 1);
-    header_done_ = true;
-  }
-  while (std::getline(is_, line_)) {
-    ++line_no_;
-    // Same torn-tail rule as read_trace: a final line with no '\n' is a
-    // crash fragment, never data — even if it happens to parse.
-    const bool torn_tail = is_.eof();
-    if (line_.empty()) continue;
-    if (torn_tail) {
-      if (mode_ == workload::TraceReadMode::kStrict) {
-        malformed("unterminated final line (torn tail)", line_no_);
-      }
-      ++stats_.lines_skipped;
-      continue;
-    }
-    Job j;
-    std::string why;
-    if (!workload::parse_trace_job_line(line_, j, why)) {
-      if (mode_ == workload::TraceReadMode::kStrict) {
-        malformed("malformed trace line: " + why, line_no_);
-      }
-      ++stats_.lines_skipped;
-      continue;
-    }
-    // read_trace defers volume/density validation to the Instance
-    // constructor; a streaming ingest has no Instance, so the same
-    // constraint is enforced per line here.
-    if (j.volume <= 0.0 || j.density <= 0.0) {
-      if (mode_ == workload::TraceReadMode::kStrict) {
-        malformed("non-positive volume or density", line_no_);
-      }
-      ++stats_.lines_skipped;
-      continue;
-    }
+  while (scanner_.next(out)) {
     // The engine admits jobs by release time as they arrive, so the stream
     // must be release-ordered — the order write_trace emits.
-    if (j.release < last_release_) {
-      if (mode_ == workload::TraceReadMode::kStrict) {
-        malformed("release times not non-decreasing", line_no_);
-      }
-      ++stats_.lines_skipped;
+    if (out->release < last_release_) {
+      scanner_.reject("release times not non-decreasing");
       continue;
     }
-    last_release_ = j.release;
-    j.id = static_cast<JobId>(next_id_++);
-    ++stats_.lines_read;
-    *out = j;
+    last_release_ = out->release;
+    out->id = static_cast<JobId>(next_id_++);
     return true;
   }
   return false;

@@ -5,12 +5,12 @@
 // trace is written in.  Sources own whatever state they need to produce the
 // next job in O(1) memory:
 //
-//   TraceJobSource     — streams a CSV trace (trace_io format) line by line,
-//                        never materializing an Instance.  Strict/lenient
-//                        semantics match workload::read_trace exactly (the
-//                        shared parse_trace_job_line), including torn-tail
-//                        rejection; release monotonicity violations are a
-//                        strict error / lenient skip.
+//   TraceJobSource     — streams a CSV trace (trace_io format) through the
+//                        one workload::TraceScanner, never materializing an
+//                        Instance.  Every line rule is read_trace's (the
+//                        same scanner); the source adds only release order:
+//                        a decreasing release is a strict error / lenient
+//                        skip.
 //   SyntheticJobSource — deterministic seeded generator (Poisson arrivals,
 //                        exponential volumes, uniform density), the O(1)
 //                        analogue of workload::generate for benchmarks that
@@ -41,22 +41,17 @@ class JobSource {
 class TraceJobSource : public JobSource {
  public:
   /// `is` must outlive the source.  The header line is consumed on the first
-  /// next() call; all read_trace diagnostics carry line numbers.
+  /// next() call; all diagnostics carry line numbers.
   explicit TraceJobSource(std::istream& is,
                           workload::TraceReadMode mode = workload::TraceReadMode::kStrict);
 
   bool next(Job* out) override;
-  [[nodiscard]] const workload::TraceReadStats& stats() const { return stats_; }
+  [[nodiscard]] const workload::TraceReadStats& stats() const { return scanner_.stats(); }
 
  private:
-  std::istream& is_;
-  workload::TraceReadMode mode_;
-  workload::TraceReadStats stats_;
-  std::string line_;
-  std::size_t line_no_ = 0;
+  workload::TraceScanner scanner_;
   std::int64_t next_id_ = 0;
   double last_release_ = -kInf;
-  bool header_done_ = false;
 };
 
 class SyntheticJobSource : public JobSource {

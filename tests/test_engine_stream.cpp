@@ -518,6 +518,36 @@ TEST(TraceJobSource, StrictRejectsWhatReadTraceRejects) {
   }
 }
 
+TEST(TraceJobSource, OutOfOrderReleaseIsTheOnlyRuleAddedToReadTrace) {
+  // read_trace keeps unsorted input (an Instance need not be sorted); the
+  // stream rejects the decreasing release on its line, and lenient mode
+  // counts it as skipped rather than read.
+  const char* text = "id,release,volume,density\n0,2,1,1\n1,1,1,1\n2,3,1,1\n";
+  std::istringstream for_read(text);
+  EXPECT_EQ(workload::read_trace(for_read).size(), 3u);
+
+  std::istringstream strict_is(text);
+  TraceJobSource strict(strict_is);
+  Job j;
+  ASSERT_TRUE(strict.next(&j));
+  try {
+    (void)strict.next(&j);
+    FAIL() << "strict stream accepted a decreasing release";
+  } catch (const workload::TraceIoError& e) {
+    EXPECT_EQ(e.diagnostic().context, "line 3");
+  }
+
+  std::istringstream lenient_is(text);
+  TraceJobSource lenient(lenient_is, workload::TraceReadMode::kLenient);
+  std::vector<Job> got;
+  while (lenient.next(&j)) got.push_back(j);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].id, 1);
+  EXPECT_EQ(got[1].release, 3.0);
+  EXPECT_EQ(lenient.stats().lines_read, 2u);
+  EXPECT_EQ(lenient.stats().lines_skipped, 1u);
+}
+
 TEST(TraceJobSource, TruncatedMidJobFuzzNeverYieldsGarbage) {
   // Cut a valid trace at every byte offset in a stride: strict mode must
   // yield a clean prefix of the full stream and then either end (cut on a

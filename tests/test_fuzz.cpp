@@ -4,9 +4,16 @@
 // the sweep covers many seeds and distributions.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <clocale>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_uniform.h"
@@ -14,6 +21,7 @@
 #include "src/algo/bounds.h"
 #include "src/algo/frac_to_int.h"
 #include "src/algo/parallel.h"
+#include "src/engine/job_source.h"
 #include "src/robust/diagnostics.h"
 #include "src/workload/generators.h"
 #include "src/workload/trace_io.h"
@@ -138,6 +146,11 @@ struct TraceCorpusCase {
   bool strict_throws;
 };
 
+// Print a case as its name so the parameter (and the ctest name derived from
+// it) is stable; the default raw-byte dump includes string-literal addresses,
+// which change with every run under ASLR.
+void PrintTo(const TraceCorpusCase& c, std::ostream* os) { *os << c.name; }
+
 class TraceCorpus : public ::testing::TestWithParam<TraceCorpusCase> {};
 
 TEST_P(TraceCorpus, StrictThrowsTypedLenientSkipsAndCounts) {
@@ -173,10 +186,6 @@ TEST_P(TraceCorpus, StrictThrowsTypedLenientSkipsAndCounts) {
   EXPECT_EQ(stats.lines_skipped, c.lenient_skipped) << c.name;
 }
 
-std::string corpus_name(const ::testing::TestParamInfo<TraceCorpusCase>& info) {
-  return info.param.name;
-}
-
 const TraceCorpusCase kTraceCorpus[] = {
     {"truncated_line", "id,release,volume,density\n0,0,1,1\n1,0.5,\n", 1, 1, true},
     {"wrong_header", "volume,id\n0,0,1,1\n", 0, 0, true},
@@ -196,9 +205,11 @@ const TraceCorpusCase kTraceCorpus[] = {
     // counting it as skipped.
     {"torn_tail_parsable", "id,release,volume,density\n0,0,1,1\n1,1,2,1", 1, 1, true},
     {"torn_tail_unparsable", "id,release,volume,density\n0,0,1,1\n1,0.5,2", 1, 1, true},
+    // A whitespace-only field converts nothing; it must not read as 0.
+    {"blank_field", "id,release,volume,density\n0, ,1,1\n1,1,1,1\n", 1, 1, true},
 };
 
-INSTANTIATE_TEST_SUITE_P(Corpus, TraceCorpus, ::testing::ValuesIn(kTraceCorpus), corpus_name);
+INSTANTIATE_TEST_SUITE_P(Corpus, TraceCorpus, ::testing::ValuesIn(kTraceCorpus));
 
 TEST(TraceFuzz, NegativeVolumeFailsModelValidationStrictButLenientDrops) {
   // The row parses numerically, so strict mode hands it to Instance, whose
@@ -256,6 +267,169 @@ TEST(TraceFuzz, WriteReadRoundTripOnFuzzedInstances) {
       EXPECT_EQ(got.jobs()[i].density, inst.jobs()[i].density);
     }
   }
+}
+
+TEST(TraceFuzz, StrictNonPositiveVolumeIsALineNumberedTraceIoError) {
+  std::istringstream is("id,release,volume,density\n0,0,1,1\n1,1,0,1\n");
+  try {
+    (void)workload::read_trace(is);
+    FAIL() << "strict read accepted a zero volume";
+  } catch (const workload::TraceIoError& e) {
+    EXPECT_EQ(e.diagnostic().code, robust::ErrorCode::kIoMalformed);
+    EXPECT_EQ(e.diagnostic().context, "line 3");
+    EXPECT_NE(e.diagnostic().message.find("non-positive volume"), std::string::npos);
+    const ModelError& as_model = e;  // still caught by ModelError handlers
+    EXPECT_NE(std::string(as_model.what()).find("line 3"), std::string::npos);
+  }
+}
+
+TEST(TraceFuzz, LineLongerThanAReadBlockIsScannedWhole) {
+  // Trailing spaces after a number are allowed, and leading ones send the
+  // field to the strtod fallback; both here exceed the 64 KiB read block.
+  const std::string input = "id,release,volume,density\n0,0,1,1" + std::string(200'000, ' ') +
+                            "\n1," + std::string(70'000, ' ') + "0.5,2,1\n2,1,3,1\n";
+  std::istringstream is(input);
+  const Instance got = workload::read_trace(is);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got.jobs()[0].volume, 1.0);
+  EXPECT_EQ(got.jobs()[1].release, 0.5);
+  EXPECT_EQ(got.jobs()[1].volume, 2.0);
+  EXPECT_EQ(got.jobs()[2].volume, 3.0);
+}
+
+// The full-consumption strtod rule the scanner's field parser must keep:
+// trailing spaces allowed, any other leftover (or a NUL byte) rejected.
+// Evaluated in the test's "C" locale.  It reads a whitespace-only field as 0;
+// the scanner rejects that field, the one intended difference.
+bool reference_parse_double(const std::string& field, double& out) {
+  if (field.empty() || field.size() != std::string(field.c_str()).size()) return false;
+  char* end = nullptr;
+  out = std::strtod(field.c_str(), &end);
+  while (end && *end == ' ') ++end;
+  return end == field.c_str() + field.size();
+}
+
+TEST(TraceFuzz, FieldParserMatchesFullConsumptionStrtodBitForBit) {
+  using namespace std::string_literals;
+  std::vector<std::string> fields = {
+      "0", "1", "-0", "0.0", "-0.0", "1.5", "-1.5", ".5", "5.", "-.5", "1e5", "1E-5",
+      "1.5e+3", "  1.5", "\t1.5", "\n1.5", " 1.5 ", "1.5 ", "1.5  ", "1.5\t", "1.5\r",
+      "1.5 x", "+1.5", "+0", "+", "-", ".", "-.", "+.", "1e", "1e+", "1e-", "e5", "1..2",
+      "1.2.3", "1 2", "1_000", "0x1p3", "0X1P-2", "0x.8", "-0x10", "+0x1", " 0x1p3",
+      "0x", "0xg", "inf", "-inf", "+inf", "INF", "Infinity", "INFINITY", "-INFINITY",
+      "infin", "nan", "NaN", "-nan", "+nan", "nan(123)", "nan(abc_9)", "nan(", "nan()",
+      "1e-400", "-1e-400", "1e400", "-1e400", "1e-320", "4.9e-324", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+      "0.10000000000000001", "0.30000000000000004", "3.1415926535897931",
+      "9007199254740993", "123456789012345678", "12345678901234567890123",
+      "0." + std::string(400, '0') + "1", std::string(300, '9'), std::string(150, ' ') + "2.5",
+      "2.5" + std::string(150, ' '), "", " ", "  ", "\t", " \t ", "\t\t",
+      "1\0"s, "\0"s, "1.5\0junk"s, " \0"s, "nan\0"s};
+  const std::size_t fixed = fields.size();
+  std::mt19937_64 rng(20150613);
+  char buf[512];
+  for (int i = 0; i < 12'000; ++i) {
+    // Uniform bit patterns reach every exponent, subnormals and NaNs.
+    const double v = std::bit_cast<double>(rng());
+    std::to_chars_result r;
+    switch (i % 4) {
+      case 0: r = std::to_chars(buf, buf + sizeof buf, v); break;
+      case 1: r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific, 17); break;
+      case 2: r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17); break;
+      default: {
+        // Plain decimals below 2^40 from a random 53-bit mantissa.
+        const double m = std::ldexp(static_cast<double>(rng() >> 11),
+                                    static_cast<int>(rng() % 60) - 73);
+        r = std::to_chars(buf, buf + sizeof buf, v < 0 ? -m : m, std::chars_format::fixed);
+        break;
+      }
+    }
+    ASSERT_EQ(r.ec, std::errc());
+    fields.emplace_back(buf, r.ptr);
+  }
+  ASSERT_GE(fields.size() - fixed, 10'000u);
+
+  std::size_t blank_differences = 0;
+  for (const std::string& f : fields) {
+    double want = 0.0;
+    double got = 0.0;
+    const bool ref_ok = reference_parse_double(f, want);
+    const bool ok = workload::parse_trace_field(f, got);
+    const bool blank = !f.empty() && f.find_first_not_of(" \t\n\v\f\r") == std::string::npos;
+    if (blank && ref_ok) {
+      EXPECT_FALSE(ok) << "whitespace-only field '" << f << "' must not read as 0";
+      ++blank_differences;
+      continue;
+    }
+    ASSERT_EQ(ok, ref_ok) << "field '" << f << "'";
+    if (ok) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "field '" << f << "'";
+    }
+  }
+  EXPECT_EQ(blank_differences, 2u);  // " " and "  "
+}
+
+/// Restores LC_NUMERIC on scope exit, so a failing assertion cannot leak a
+/// ','-decimal locale into later tests.
+class NumericLocaleGuard {
+ public:
+  NumericLocaleGuard() {
+    const char* prev = std::setlocale(LC_NUMERIC, nullptr);
+    saved_ = prev ? prev : "C";
+  }
+  ~NumericLocaleGuard() { std::setlocale(LC_NUMERIC, saved_.c_str()); }
+  NumericLocaleGuard(const NumericLocaleGuard&) = delete;
+  NumericLocaleGuard& operator=(const NumericLocaleGuard&) = delete;
+
+ private:
+  std::string saved_;
+};
+
+TEST(TraceFuzz, ParsesIdenticallyUnderCommaDecimalLocale) {
+  const Instance inst = workload::generate({.n_jobs = 200, .arrival_rate = 1.5, .seed = 11});
+  std::ostringstream os;
+  workload::write_trace(os, inst);
+  const std::string text = os.str() + "200,1e9,0.5,0.25\n";  // a literal "0.5", last release
+
+  auto read_both = [&text](std::vector<Job>& batch, std::vector<Job>& streamed) {
+    std::istringstream is(text);
+    batch = workload::read_trace(is).jobs();
+    std::istringstream is2(text);
+    engine::TraceJobSource source(is2);
+    Job j;
+    while (source.next(&j)) streamed.push_back(j);
+  };
+  std::vector<Job> want_batch, want_stream;
+  read_both(want_batch, want_stream);
+  ASSERT_EQ(want_batch.size(), inst.size() + 1);
+  ASSERT_EQ(want_batch.back().volume, 0.5);
+
+  std::vector<Job> got_batch, got_stream;
+  {
+    NumericLocaleGuard guard;
+    if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr &&
+        std::setlocale(LC_NUMERIC, "de_DE.utf8") == nullptr) {
+      GTEST_SKIP() << "no de_DE locale installed; cannot exercise the ',' separator";
+    }
+    ASSERT_NO_THROW(read_both(got_batch, got_stream));
+  }
+  auto same_bits = [](const std::vector<Job>& a, const std::vector<Job>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].id != b[i].id ||
+          std::bit_cast<std::uint64_t>(a[i].release) != std::bit_cast<std::uint64_t>(b[i].release) ||
+          std::bit_cast<std::uint64_t>(a[i].volume) != std::bit_cast<std::uint64_t>(b[i].volume) ||
+          std::bit_cast<std::uint64_t>(a[i].density) != std::bit_cast<std::uint64_t>(b[i].density)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(same_bits(got_batch, want_batch));
+  EXPECT_TRUE(same_bits(got_stream, want_stream));
+  EXPECT_TRUE(same_bits(want_stream, want_batch));
 }
 
 }  // namespace
