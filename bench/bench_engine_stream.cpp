@@ -9,15 +9,15 @@
 // curve is flat no matter how many more jobs stream through.
 //
 //   bench_engine_stream                         # smoke: 200k jobs, plateau assert
-//   bench_engine_stream --jobs 10000000 \
-//       --rss-ceiling-mb 512 --json out.json    # the pinned engine.stream/10M run
+//   bench_engine_stream --jobs 10000000 --rss-ceiling-mb 512 --json out.json
+//                                               # the pinned engine.stream/10M run
 //
 // With --json the run is emitted as a speedscale.bench_ledger/1 document:
 // the engine's deterministic tallies (jobs, arena high-water/slots, recorder
 // counts) as hard-gated work counters, wall time per repetition as the
 // advisory half, and the measured RSS waypoints in the (ungated) config
-// block.  scripts/run_bench_suite.py --pr10-out merges this into
-// BENCH_PR10.json next to the pinned engine.stream/* suite entries.
+// block.  scripts/run_bench_suite.py merges this into BENCH.json next to
+// the pinned engine.stream/* suite entries.
 //
 // Exit status: 0 ok, 1 plateau/ceiling breach or nondeterministic counters,
 // 2 usage.
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   // cap the warmup window so tiny --jobs runs still get a post-warmup phase.
   const std::uint64_t warmup_jobs = jobs / 8;
 
-  obs::perf::BenchLedger ledger("pr10-stream");
+  obs::perf::BenchLedger ledger("engine-stream");
   ledger.set_config("alpha", "2");
   ledger.set_config("jobs", std::to_string(jobs));
   ledger.set_config("machines", std::to_string(machines));

@@ -12,9 +12,9 @@
 //     reproduces the first one's counters and fails loudly otherwise.
 //
 // scripts/run_bench_suite.py wraps this binary, merges the google-benchmark
-// wall-time suites (E13/E19/E20) into the same ledger, and writes the
-// committed artifact (BENCH_PR3.json).  scripts/bench_compare.py is the
-// regression gate over two such ledgers.
+// wall-time suites (E13/E19/E20/E23) and the 10M-job stream run into the
+// same ledger, and writes the committed artifact (BENCH.json).
+// scripts/bench_compare.py is the regression gate over two such ledgers.
 //
 // The (bench x repetition) grid is sharded across the in-process sweep
 // scheduler (src/analysis/sweep.h) with --jobs N: each repetition runs
@@ -25,7 +25,6 @@
 // Usage:
 //   bench_suite_runner [--out ledger.json] [--reps N] [--quick] [--jobs N]
 //                      [--filter SUBSTR] [--exclude SUBSTR] [--list]
-//                      [--suite NAME]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -61,14 +60,14 @@ int usage() {
   std::fprintf(stderr,
                "usage: bench_suite_runner [--out ledger.json] [--reps N] [--quick]\n"
                "                          [--jobs N] [--filter SUBSTR] [--exclude SUBSTR]\n"
-               "                          [--list] [--suite NAME]\n");
+               "                          [--list]\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path, suite_name = "pr3-pinned";
+  std::string out_path;
   std::vector<std::string> filters, excludes;  // repeatable; substring match
   int reps = 5;
   std::size_t jobs = 1;
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
       excludes.emplace_back(argv[++i]);
     } else if (arg == "--list") {
       list = true;
-    } else if (arg == "--suite" && i + 1 < argc) {
-      suite_name = argv[++i];
     } else {
       return usage();
     }
@@ -118,7 +115,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::perf::BenchLedger ledger(suite_name);
+  obs::perf::BenchLedger ledger("pinned");
   ledger.set_config("alpha", "2");
   // Build identity (src/obs/build_info.h) travels with every ledger so a
   // regression report names the exact binary.  bench_compare.py ignores

@@ -5,7 +5,6 @@
 //   telemetry_tool --connect ADDRESS --list          # series names, last, rate
 //   telemetry_tool --connect ADDRESS --watch [--metric NAME]...
 //                  [--interval-ms N] [--frames N] [--no-clear]
-//   telemetry_tool --history FILE [--window K]       # perf-history trends
 //
 // ADDRESS is "HOST:PORT" or "unix:PATH" — whatever a serving process
 // printed (e.g. `datacenter_cluster --serve-metrics 0 --port-file F`).
@@ -13,12 +12,6 @@
 // highest-rate counter) as an ASCII chart (src/analysis/ascii_chart.h) with
 // a rate table, refreshing in place.  --frames bounds the refresh count so
 // the watch view is scriptable (CI smoke uses --frames 2).
-//
-// --history renders a speedscale.history/1 trajectory file offline (no
-// server needed): store totals, the sentinel's verdict tallies, and a
-// sparkline per flagged or recently-changed series — the terminal's answer
-// to "did anything move across the last K runs?".  perf_report is the full
-// report/gate; this is the glanceable dashboard.
 //
 // A watch never dies mid-run because the plane under it hiccuped: a failed
 // poll re-renders the previous frame marked STALE, and a series that was
@@ -38,8 +31,6 @@
 
 #include "src/analysis/ascii_chart.h"
 #include "src/core/types.h"
-#include "src/obs/history/history_store.h"
-#include "src/obs/history/sentinel.h"
 #include "src/obs/json_min.h"
 #include "src/obs/live/telemetry_server.h"
 
@@ -188,69 +179,26 @@ int run_watch(const std::string& address, std::vector<std::string> metrics, long
   return 0;
 }
 
-/// --history: offline trajectory dashboard over a speedscale.history/1 file.
-int run_history(const std::string& path, std::size_t window) {
-  namespace hist = obs::history;
-  hist::LoadStats stats;
-  const hist::HistoryStore store =
-      hist::HistoryStore::load_file(path, hist::LoadMode::kLenient, &stats);
-  store.publish_gauges(&stats);
-  std::printf("perf history — %s\n", path.c_str());
-  std::printf("runs %zu   bench entries %zu   records %zu\n", store.runs(),
-              store.bench_entries(), store.records().size());
-  if (stats.skipped_lines > 0 || stats.duplicates > 0) {
-    std::printf("lenient load: %zu line(s) skipped, %zu duplicate(s) superseded\n",
-                stats.skipped_lines, stats.duplicates);
-  }
-  if (store.records().empty()) {
-    std::printf("(empty trajectory — ingest ledgers with perf_report --ingest)\n");
-    return 0;
-  }
-  hist::SentinelOptions opt;
-  opt.window = window;
-  const hist::SentinelReport report = hist::analyze(store, opt);
-  hist::publish_sentinel_gauges(report);
-  std::printf("sentinel: %zu ok, %zu advisory, %zu regression -> %s\n", report.n_ok,
-              report.n_advisory, report.n_regression, hist::verdict_name(report.overall()));
-  // The glanceable part: every non-ok series, plus any with a changepoint.
-  std::size_t shown = 0;
-  for (const hist::SeriesVerdict& sv : report.series) {
-    if (sv.verdict == hist::Verdict::kOk && sv.changepoint_run < 0) continue;
-    std::printf("  %-10s %-38s %-22s %s\n", hist::verdict_name(sv.verdict),
-                (sv.entry + " " + sv.metric).c_str(),
-                analysis::sparkline(sv.values, 20).c_str(), sv.reason.c_str());
-    ++shown;
-  }
-  if (shown == 0) std::printf("  (no series moved across the recorded runs)\n");
-  return 0;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: telemetry_tool --connect ADDRESS [--endpoint PATH] [--list]\n"
                "                      [--watch] [--metric NAME]... [--interval-ms N]\n"
                "                      [--frames N] [--no-clear]\n"
-               "       telemetry_tool --history FILE [--window K]\n"
-               "  ADDRESS: \"HOST:PORT\" or \"unix:PATH\"\n"
-               "  --history: render a speedscale.history/1 trajectory offline\n");
+               "  ADDRESS: \"HOST:PORT\" or \"unix:PATH\"\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string address, endpoint = "/metrics", history_path;
+  std::string address, endpoint = "/metrics";
   std::vector<std::string> metrics;
-  long interval_ms = 500, frames = 0, window = 8;
+  long interval_ms = 500, frames = 0;
   bool watch = false, list = false, clear = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--connect" && i + 1 < argc) {
       address = argv[++i];
-    } else if (arg == "--history" && i + 1 < argc) {
-      history_path = argv[++i];
-    } else if (arg == "--window" && i + 1 < argc) {
-      window = std::atol(argv[++i]);
     } else if (arg == "--endpoint" && i + 1 < argc) {
       endpoint = argv[++i];
     } else if (arg == "--metric" && i + 1 < argc) {
@@ -267,15 +215,6 @@ int main(int argc, char** argv) {
       clear = false;
     } else {
       return usage();
-    }
-  }
-  if (!history_path.empty()) {
-    if (window < 2) return usage();
-    try {
-      return run_history(history_path, static_cast<std::size_t>(window));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "telemetry_tool: %s\n", e.what());
-      return 1;
     }
   }
   if (address.empty() || interval_ms < 1 || frames < 0) return usage();

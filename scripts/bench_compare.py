@@ -7,7 +7,7 @@ Noise-aware policy, per docs/observability.md:
   substeps, root iterations, bracket expansions, retries, and preemptions
   are deterministic; any delta against the baseline is a real behavioral
   change — either a regression or an intentional change that must ship with
-  a regenerated baseline (scripts/run_bench_suite.py --out BENCH_PR3.json).
+  a regenerated baseline (scripts/run_bench_suite.py --out BENCH.json).
 * **Wall time is advisory.**  Machine noise on these loops is ~±10%
   (EXPERIMENTS.md E19), so the gate only *warns* when the min-over-
   repetitions wall time moves more than --wall-tolerance (default 25%), and
@@ -20,10 +20,6 @@ Noise-aware policy, per docs/observability.md:
 
 Exit status: 0 ok (possibly with warnings), 1 counter regression or missing
 baseline entry, 2 usage/schema error.
-
-`--manifest FILE` compares every (baseline, current) pair listed in a
-speedscale.bench_manifest/1 document in one invocation — the CI loop over
-all committed BENCH ledgers — failing if any pair fails.
 
 `--self-test` runs the gate against synthetic ledgers with an injected
 counter regression and verifies it trips; wired into ctest
@@ -107,36 +103,6 @@ def make_ledger(entries):
     return {"schema": SCHEMA, "suite": "self-test", "config": {}, "entries": entries}
 
 
-MANIFEST_SCHEMA = "speedscale.bench_manifest/1"
-
-
-def run_manifest(path, wall_tolerance):
-    """Compares every (baseline, current) pair in the manifest; returns the
-    number of pairs with failures."""
-    try:
-        with open(path) as f:
-            manifest = json.load(f)
-    except OSError as e:
-        sys.exit(f"error: cannot read {path}: {e.strerror}")
-    except json.JSONDecodeError as e:
-        sys.exit(f"error: {path} is not valid JSON: {e}")
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        sys.exit(f"error: {path}: schema {manifest.get('schema')!r}, "
-                 f"expected {MANIFEST_SCHEMA!r}")
-    pairs = manifest.get("pairs")
-    if not isinstance(pairs, list) or not pairs:
-        sys.exit(f"error: {path}: expected a non-empty 'pairs' list")
-    failed = 0
-    for pair in pairs:
-        label = pair.get("label", pair.get("baseline", "?"))
-        print(f"== {label}: {pair['baseline']} vs {pair['current']}")
-        failures, _ = compare(load_ledger(pair["baseline"]), load_ledger(pair["current"]),
-                              wall_tolerance=wall_tolerance)
-        failed += 1 if failures else 0
-    print(f"manifest: {len(pairs)} pair(s) compared, {failed} failed")
-    return failed
-
-
 def self_test():
     base = make_ledger({
         "sim.x/64": {"counters": {"sim.c_machine.segments": 100}, "repetitions": 2,
@@ -207,35 +173,16 @@ def self_test():
                         capture_output=True).returncode
     assert rc == 0, f"CLI exit code for identical ledgers was {rc}, expected 0"
 
-    # Manifest mode: one clean pair and one regressed pair -> exit 1; two
-    # clean pairs -> exit 0.
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fm:
-        json.dump({"schema": MANIFEST_SCHEMA,
-                   "pairs": [{"baseline": fb.name, "current": fb.name, "label": "clean"},
-                             {"baseline": fb.name, "current": fc.name, "label": "hot"}]}, fm)
-    rc = subprocess.run([sys.executable, __file__, "--manifest", fm.name],
-                        capture_output=True).returncode
-    assert rc == 1, f"manifest exit code with a regressed pair was {rc}, expected 1"
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fm2:
-        json.dump({"schema": MANIFEST_SCHEMA,
-                   "pairs": [{"baseline": fb.name, "current": fb.name, "label": "clean"}]},
-                  fm2)
-    rc = subprocess.run([sys.executable, __file__, "--manifest", fm2.name],
-                        capture_output=True).returncode
-    assert rc == 0, f"manifest exit code for clean pairs was {rc}, expected 0"
-
     print("bench_compare self-test: ok")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("baseline", nargs="?", help="committed ledger (e.g. BENCH_PR3.json)")
+    ap.add_argument("baseline", nargs="?", help="committed ledger (BENCH.json)")
     ap.add_argument("current", nargs="?", help="freshly generated ledger")
     ap.add_argument("--wall-tolerance", type=float, default=0.25,
                     help="advisory wall-time warning threshold (fraction, default 0.25)")
-    ap.add_argument("--manifest",
-                    help="compare every pair in a speedscale.bench_manifest/1 document")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the gate trips on an injected counter regression")
     args = ap.parse_args()
@@ -244,11 +191,8 @@ def main():
         self_test()
         return
 
-    if args.manifest:
-        sys.exit(1 if run_manifest(args.manifest, args.wall_tolerance) else 0)
-
     if not args.baseline or not args.current:
-        ap.error("baseline and current ledger paths are required (or --self-test/--manifest)")
+        ap.error("baseline and current ledger paths are required (or --self-test)")
     failures, _ = compare(load_ledger(args.baseline), load_ledger(args.current),
                           wall_tolerance=args.wall_tolerance)
     sys.exit(1 if failures else 0)

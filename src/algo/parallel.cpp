@@ -69,7 +69,9 @@ ParallelRun run_c_par(const Instance& instance, double alpha, int k) {
     for (int i = 0; i < k; ++i) {
       machines[static_cast<std::size_t>(i)].advance_to(job.release);
       const double w = machines[static_cast<std::size_t>(i)].remaining_weight();
-      if (i == 0 || w < best_w - 1e-15 * std::max(1.0, best_w)) {
+      // Exact comparison: drained machines hold exactly 0, so ties among
+      // idle machines break toward the lower index, as NC-PAR's do.
+      if (i == 0 || w < best_w) {
         best_w = w;
         best = i;
       }

@@ -82,30 +82,4 @@ void plot(std::ostream& os, const std::vector<Series>& series, int width, int he
   }
 }
 
-std::string sparkline(const std::vector<double>& values, std::size_t width) {
-  static constexpr char kRamp[] = "_.-=^#";
-  static constexpr std::size_t kLevels = sizeof(kRamp) - 1;
-  if (values.empty() || width == 0) return "";
-  const std::size_t n = std::min(values.size(), width);
-  const std::size_t start = values.size() - n;
-  double lo = values[start];
-  double hi = values[start];
-  for (std::size_t i = start; i < values.size(); ++i) {
-    lo = std::min(lo, values[i]);
-    hi = std::max(hi, values[i]);
-  }
-  std::string out;
-  out.reserve(n);
-  for (std::size_t i = start; i < values.size(); ++i) {
-    if (hi == lo) {
-      out += '-';
-      continue;
-    }
-    const double t = (values[i] - lo) / (hi - lo);
-    auto level = static_cast<std::size_t>(t * static_cast<double>(kLevels - 1) + 0.5);
-    out += kRamp[std::min(level, kLevels - 1)];
-  }
-  return out;
-}
-
 }  // namespace speedscale::analysis

@@ -20,10 +20,4 @@ struct Series {
 void plot(std::ostream& os, const std::vector<Series>& series, int width = 72, int height = 18,
           const std::string& title = "");
 
-/// One-line trend glyph run for a value series (perf_report trend tables):
-/// each value maps onto the ASCII ramp "_.-=^#" scaled to the series' own
-/// min/max.  Series longer than `width` keep their most recent `width`
-/// values; a flat series renders as '-' marks; empty input gives "".
-[[nodiscard]] std::string sparkline(const std::vector<double>& values, std::size_t width = 16);
-
 }  // namespace speedscale::analysis

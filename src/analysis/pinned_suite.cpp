@@ -12,10 +12,7 @@
 #include "src/core/power.h"
 #include "src/numerics/roots.h"
 #include "src/obs/cert/potential_tracker.h"
-#include "src/obs/history/history_store.h"
-#include "src/obs/history/sentinel.h"
 #include "src/obs/live/telemetry_hub.h"
-#include "src/obs/perf/bench_ledger.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/robust/guarded_engine.h"
@@ -44,7 +41,7 @@ NumericConfig engine_config() {
 /// workers.  The /8x1 and /8x8 entries run the *same* points, so their
 /// counter snapshots must be identical — the committed proof that the sweep
 /// engine's parallelism is unobservable — while their wall times expose the
-/// speedup (tracked in BENCH_PR5.json; wall is advisory in the gate).
+/// speedup (tracked in BENCH.json; wall is advisory in the gate).
 void run_sweep_suite_bench(std::size_t jobs) {
   std::vector<analysis::SuitePoint> points;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -60,7 +57,7 @@ void run_sweep_suite_bench(std::size_t jobs) {
 }
 
 /// The pinned suite.  Changing a seed, size, or config here invalidates the
-/// committed baseline — regenerate BENCH_PR3.json in the same change.
+/// committed baseline — regenerate BENCH.json in the same change.
 std::vector<PinnedBench> build_pinned_suite() {
   return {
       {"sim.algorithm_c/1024",
@@ -148,10 +145,9 @@ std::vector<PinnedBench> build_pinned_suite() {
       // src/engine/.  The engine batches its engine.stream.* counters once
       // at end of run (jobs, arena high-water/slots, recorder tallies), so
       // backlog scale — the O(active) memory contract — and the ring-drop
-      // accounting sit under the hard counter gate.  Kept in their own
-      // ledger (BENCH_PR10.json) via run_bench_suite.py --filter/--exclude
-      // engine.stream; the 10M-job run with the RSS plateau assertion lives
-      // in bench/bench_engine_stream.cpp, merged into the same ledger.
+      // accounting sit under the hard counter gate.  The 10M-job run with
+      // the RSS plateau assertion lives in bench/bench_engine_stream.cpp;
+      // run_bench_suite.py merges it into the same ledger.
       {"engine.stream/100k",
        [] {
          // The 10M-run mode at smoke scale: recording off, metrics online-only.
@@ -181,63 +177,10 @@ std::vector<PinnedBench> build_pinned_suite() {
          engine::StreamEngine eng(options);
          (void)eng.run(source);
        }},
-      // The perf-history observatory (PR 9): a fixed synthetic trajectory —
-      // four bench-ledger runs, one injected counter regression in the last
-      // run — pushed through the full stack: strict round-trip must be
-      // byte-stable, the lenient loader must count a torn line and a
-      // duplicate exactly, and the sentinel must flag exactly the injected
-      // regression.  The byte/record/verdict tallies pin the
-      // speedscale.history/1 wire format and the sentinel's policy.
-      {"obs.history_store/48",
-       [] {
-         obs::history::HistoryStore store;
-         for (int run = 0; run < 4; ++run) {
-           obs::perf::BenchLedger ledger("pinned-history");
-           ledger.set_config("git_hash", "deadbeefcafe");
-           ledger.set_config("mode", "pinned");
-           for (int b = 0; b < 6; ++b) {
-             auto& e = ledger.entry("pinned.series/" + std::to_string(b));
-             e.repetitions = 2;
-             e.wall_ns = {1000.0 + 10.0 * (run % 3) + b, 990.0 + b};
-             e.counters["sim.steps"] = 100 + b * 10 + (run == 3 && b == 5 ? 7 : 0);
-             e.counters["opt.iters"] = 40 + b;
-           }
-           store.ingest_bench_ledger(ledger.to_json());
-         }
-         const std::string doc = store.to_jsonl();
-         const obs::history::HistoryStore reparsed =
-             obs::history::HistoryStore::parse(doc, obs::history::LoadMode::kStrict);
-         if (reparsed.to_jsonl() != doc) {
-           throw ModelError("obs.history_store bench: round-trip drifted");
-         }
-         // Lenient load over a corpus with one torn line and one duplicate.
-         obs::history::LoadStats stats;
-         const std::string corrupted =
-             doc + "{\"torn\n" + store.records()[4].to_json() + "\n";
-         const obs::history::HistoryStore lenient = obs::history::HistoryStore::parse(
-             corrupted, obs::history::LoadMode::kLenient, &stats);
-         if (stats.skipped_lines != 1 || stats.duplicates != 1 ||
-             lenient.to_jsonl() != doc) {
-           throw ModelError("obs.history_store bench: lenient load drifted");
-         }
-         const obs::history::SentinelReport report = obs::history::analyze(store);
-         if (report.n_regression != 1 ||
-             report.overall() != obs::history::Verdict::kRegression) {
-           throw ModelError("obs.history_store bench: sentinel missed the regression");
-         }
-         OBS_COUNT("obs.history.records", static_cast<std::int64_t>(store.records().size()));
-         OBS_COUNT("obs.history.bytes", static_cast<std::int64_t>(doc.size()));
-         OBS_COUNT("obs.history.sentinel_ok", static_cast<std::int64_t>(report.n_ok));
-         OBS_COUNT("obs.history.sentinel_advisory",
-                   static_cast<std::int64_t>(report.n_advisory));
-         OBS_COUNT("obs.history.sentinel_regression",
-                   static_cast<std::int64_t>(report.n_regression));
-       }},
       // The sweep-engine determinism pair: same 8-point suite grid at inner
       // jobs 1 and 8.  Identical counters (incl. opt.cache.hits/misses from
       // the per-point memoized OPT solves), different wall — the committed
-      // speedup evidence.  Heavier than the rest; run_bench_suite.py keeps
-      // them in their own ledger (--exclude / --filter analysis.sweep_suite).
+      // speedup evidence.
       {"analysis.sweep_suite/8x1", [] { run_sweep_suite_bench(1); }},
       {"analysis.sweep_suite/8x8", [] { run_sweep_suite_bench(8); }},
   };

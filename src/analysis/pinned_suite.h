@@ -5,8 +5,8 @@
 // reproducible (bench/bench_suite_runner.cpp asserts it across repetitions
 // and shards the grid across the in-process SweepScheduler).
 //
-// Changing a seed, size, or config here invalidates every committed
-// BENCH_*.json baseline that pins these names — regenerate them in the same
+// Changing a seed, size, or config here invalidates the committed
+// BENCH.json baseline that pins these names — regenerate it in the same
 // change.
 #pragma once
 

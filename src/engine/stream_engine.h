@@ -18,7 +18,7 @@
 //
 // Each job is one closed-form kPowerGrow segment (FIFO, work-conserving), so
 // per job the engine does O(1) work and the only unbounded state is the
-// backlog itself.  `engine.stream/10M` (BENCH_PR10.json) pins the 10M-job
+// backlog itself.  `engine.stream/10M` (BENCH.json) pins the 10M-job
 // run with the RSS plateau asserted by bench/bench_engine_stream.cpp.
 //
 // Multi-machine mode dispatches arrivals across k machines with the

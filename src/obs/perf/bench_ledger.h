@@ -25,7 +25,7 @@
 //
 // bench/bench_suite_runner.cpp produces ledgers for the pinned in-process
 // suite; scripts/run_bench_suite.py merges google-benchmark JSON into the
-// same schema and commits the combined artifact (BENCH_PR3.json).
+// same schema and commits the combined artifact (BENCH.json).
 #pragma once
 
 #include <cstdint>

@@ -70,7 +70,11 @@ void CMachine::advance_to(double t) {
     JobState& st = state(cur.id);
     const double rho = st.job.density;
     const double w0 = total_weight_;
-    const double w_done = w0 - rho * st.remaining;  // weight level at completion
+    // Weight level at completion.  The last active job drains to exactly
+    // zero: w0 - rho * remaining can leave a ~1e-17 rounding residue whose
+    // residue^b / (rho b) tail moves the drain time (by ~1e-5 at alpha = 1.5)
+    // off the closed form that NC and NC-PAR use for the same busy period.
+    const double w_done = active_.size() == 1 ? 0.0 : w0 - rho * st.remaining;
     const double t_complete = now_ + kin_.decay_time_to_weight(w0, w_done, rho);
     const double t_event = std::min({t, next_release, t_complete});
 
@@ -96,14 +100,13 @@ void CMachine::advance_to(double t) {
 
     if (t_complete <= t && t_complete <= next_release) {
       // Completion fires (at ties, completion precedes release handling).
-      // A drained machine holds exactly zero weight: w_done carries the
-      // rounding residue of the decay (~1e-15), which would otherwise make
-      // an idle machine look busier than an exactly-empty one to C-PAR's
-      // least-weight dispatch (Lemma 20 pairs it with NC-PAR's idle rule).
+      // A drained machine holds exactly zero weight (w_done above), so
+      // C-PAR's least-weight dispatch sees an idle machine as exactly empty
+      // (Lemma 20 pairs it with NC-PAR's idle rule).
       st.remaining = 0.0;
       st.done = true;
       active_.erase(active_.begin());
-      total_weight_ = active_.empty() ? 0.0 : std::max(0.0, w_done);
+      total_weight_ = std::max(0.0, w_done);
       schedule_.set_completion(cur.id, t_complete);
       now_ = t_complete;
       OBS_COUNT("sim.c_machine.completions", 1);

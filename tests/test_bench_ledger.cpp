@@ -2,7 +2,7 @@
 // (src/obs/json_min.h), the canonical bench ledger and its round-trip
 // (src/obs/perf/bench_ledger.h), and the Chrome trace exporter's golden
 // output (src/obs/perf/chrome_trace.h) — the byte-level contracts that
-// BENCH_PR3.json and scripts/bench_compare.py rely on.
+// BENCH.json and scripts/bench_compare.py rely on.
 #include <gtest/gtest.h>
 
 #include <cstdio>

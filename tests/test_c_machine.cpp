@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "src/algo/algorithm_nc_uniform.h"
 #include "src/core/metrics.h"
 #include "src/core/power.h"
 #include "src/sim/c_machine.h"
@@ -64,8 +67,8 @@ TEST(CMachine, WorkConservingAndIdle) {
 }
 
 TEST(CMachine, DrainedMachineHoldsExactlyZeroWeight) {
-  // The closed-form decay leaves a rounding residue (~1e-15) in the weight
-  // level at each completion.  A machine with no active job must report
+  // Subtracting the finished job's weight would leave a rounding residue
+  // (~1e-15) in the weight level.  A machine with no active job must report
   // exactly 0, or C-PAR's least-weight dispatch would rank an idle machine
   // behind an exactly-empty one and diverge from NC-PAR (Lemma 20).
   for (const double alpha : {1.5, 2.0, 3.0}) {
@@ -83,6 +86,39 @@ TEST(CMachine, DrainedMachineHoldsExactlyZeroWeight) {
     m.run_to_completion();
     EXPECT_GT(drains, 1u);
     EXPECT_EQ(m.remaining_weight(), 0.0) << "alpha " << alpha;
+  }
+}
+
+TEST(CMachine, BusyPeriodEndsAtNcsLastCompletion) {
+  // Each busy period of Algorithm C ends where the closed form puts it: at
+  // NC's last completion among the jobs released in that period (a long
+  // double reference agrees with NC to ~1e-15).  A weight residue of ~1e-17
+  // left at the last drain moves the end by residue^b / (rho b), ~1e-6
+  // relative at alpha = 1.5.
+  for (const double alpha : {1.5, 2.0, 3.0}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const Instance inst = workload::generate({.n_jobs = 64, .seed = seed});
+      const Schedule c = run_algorithm_c(inst, alpha);
+      const RunResult nc = run_nc_uniform(inst, alpha);
+      std::vector<std::pair<double, double>> periods;  // [start, end] of each busy period
+      for (const Segment& seg : c.segments()) {
+        if (!periods.empty() && seg.t0 <= periods.back().second) {
+          periods.back().second = seg.t1;
+        } else {
+          periods.emplace_back(seg.t0, seg.t1);
+        }
+      }
+      for (const auto& [start, end] : periods) {
+        double nc_last = 0.0;
+        for (const Job& j : inst.jobs()) {
+          if (j.release >= start && j.release < end) {
+            nc_last = std::max(nc_last, nc.schedule.completion(j.id));
+          }
+        }
+        EXPECT_NEAR(end, nc_last, 1e-9 * end)
+            << "alpha " << alpha << " seed " << seed << " period starting " << start;
+      }
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_uniform.h"
@@ -128,6 +130,28 @@ TEST(Parallel, TiedReleasesKeepLemma20AndIdentities) {
   EXPECT_NEAR(nc.metrics.energy, c.metrics.energy, 1e-9 * std::max(1.0, c.metrics.energy));
   EXPECT_NEAR(nc.metrics.fractional_flow, 2.0 * c.metrics.fractional_flow,
               1e-9 * std::max(1.0, nc.metrics.fractional_flow));
+}
+
+// Lemma 20 at scale on completion/release near-ties: 4096-job instances
+// (seed * 1000003 + index, as perfbench's batch workload draws them) at
+// alpha = 1.5, where a machine holding ~1e-16 of weight must not count as
+// tied with an idle one, and a drain time off by ~1e-6 flips an assignment.
+TEST(Parallel, Lemma20HoldsOnBatchNearTies) {
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {1, 33}, {2, 21}, {2, 123}, {3, 15}, {4, 57}, {4, 87}, {4, 102},
+      {6, 15}, {6, 42}, {7, 108}, {10, 66}, {10, 123}, {4242, 93}};
+  const double alpha = 1.5;
+  const int k = 4;
+  for (const auto& [seed, index] : cases) {
+    const Instance inst = workload::generate({.n_jobs = 4096, .seed = seed * 1000003ULL + index});
+    const ParallelRun c = run_c_par(inst, alpha, k);
+    const ParallelRun nc = run_nc_par(inst, alpha, k);
+    std::size_t differing = 0;
+    for (std::size_t j = 0; j < inst.size(); ++j) {
+      differing += c.assignment[j] != nc.assignment[j] ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0u) << "seed " << seed << " instance " << index;
+  }
 }
 
 TEST(Parallel, MoreMachinesThanJobs) {
