@@ -69,14 +69,10 @@ int main() {
     for (Job& j : unit_jobs) j.density = 1.0;
     const Instance unit_inst{std::move(unit_jobs)};
     const NCNonUniformRun blind = run_nc_nonuniform(unit_inst, 2.0, blind_params);
-    // Replay the blind schedule against the TRUE instance for fair metrics.
-    Schedule replay(2.0);
-    for (const Segment& seg : blind.result.schedule.segments()) replay.append(seg);
-    for (const auto& [id, ct] : blind.result.schedule.completions()) {
-      replay.set_completion(id, ct);
-    }
+    // Replay the blind schedule against the TRUE instance for fair metrics
+    // (the unit-density copy keeps every job id).
     const PowerLaw p(2.0);
-    const Metrics blind_m = compute_metrics(inst, replay, p);
+    const Metrics blind_m = compute_metrics(inst, blind.result.schedule, p);
     t2.add_row({Table::cell(ratio), Table::cell(c.metrics.fractional_objective()),
                 Table::cell(hdf.result.metrics.fractional_objective()),
                 Table::cell(blind_m.fractional_objective()),

@@ -1,5 +1,7 @@
 #include "src/algo/algorithm_c.h"
 
+#include <utility>
+
 #include "src/core/power.h"
 #include "src/sim/c_machine.h"
 
@@ -8,11 +10,13 @@ namespace speedscale {
 RunResult run_c(const Instance& instance, double alpha) {
   CMachine m(alpha);
   m.set_online_metrics(true);
-  for (const Job& j : instance.jobs()) m.add_job(j);
+  m.reserve(instance.size());
+  for (const JobId id : instance.fifo_order()) m.add_job(instance.job(id));
   m.run_to_completion();
-  const PowerLaw power(alpha);
-  RunResult out(m.schedule(), compute_metrics(instance, m.schedule(), power));
-  out.online = m.online_metrics();
+  const Metrics metrics = compute_metrics(instance, m.schedule(), PowerLaw(alpha));
+  const Metrics online = m.online_metrics();
+  RunResult out(std::move(m).take_schedule(), metrics);
+  out.online = online;
   return out;
 }
 

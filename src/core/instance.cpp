@@ -63,6 +63,12 @@ bool Instance::uniform_density(double rel_tol) const {
 std::vector<JobId> Instance::fifo_order() const {
   std::vector<JobId> order(jobs_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<JobId>(i);
+  // Generated and trace instances arrive in release order: ids already are
+  // the (release, id) order.
+  const bool in_release_order =
+      std::is_sorted(jobs_.begin(), jobs_.end(),
+                     [](const Job& a, const Job& b) { return a.release < b.release; });
+  if (in_release_order) return order;
   std::stable_sort(order.begin(), order.end(), [this](JobId a, JobId b) {
     const Job& ja = jobs_[static_cast<size_t>(a)];
     const Job& jb = jobs_[static_cast<size_t>(b)];

@@ -22,12 +22,37 @@ void Schedule::append(Segment seg) {
   segments_.push_back(seg);
 }
 
-void Schedule::set_completion(JobId id, double t) { completions_[id] = t; }
+void Schedule::set_completion(JobId id, double t) {
+  if (done_.empty()) {
+    id_base_ = id;
+  } else if (id < id_base_) {
+    // Grow the front geometrically: a descending id order stays amortised O(1).
+    const auto grow = std::max<std::size_t>(static_cast<std::size_t>(id_base_ - id), done_.size());
+    completion_at_.insert(completion_at_.begin(), grow, 0.0);
+    done_.insert(done_.begin(), grow, false);
+    id_base_ -= static_cast<std::int64_t>(grow);
+  }
+  const auto slot = static_cast<std::size_t>(id - id_base_);
+  if (slot >= done_.size()) {
+    const std::size_t size = std::max(slot + 1, 2 * done_.size());
+    completion_at_.resize(size, 0.0);
+    done_.resize(size, false);
+  }
+  if (!done_[slot]) {
+    done_[slot] = true;
+    ++completed_count_;
+  }
+  completion_at_[slot] = t;
+}
+
+bool Schedule::completed(JobId id) const {
+  return id >= id_base_ && static_cast<std::size_t>(id - id_base_) < done_.size() &&
+         done_[static_cast<std::size_t>(id - id_base_)];
+}
 
 double Schedule::completion(JobId id) const {
-  auto it = completions_.find(id);
-  if (it == completions_.end()) throw ModelError("Schedule::completion: job never completed");
-  return it->second;
+  if (!completed(id)) throw ModelError("Schedule::completion: job never completed");
+  return completion_at_[static_cast<std::size_t>(id - id_base_)];
 }
 
 double Schedule::makespan() const {
@@ -107,12 +132,11 @@ void Schedule::validate(const Instance& instance, double tol) const {
   const std::vector<double> vols = processed_volumes(instance.size());
   for (const Job& j : instance.jobs()) {
     const double scale = std::max(1.0, j.volume);
-    auto it = completions_.find(j.id);
-    if (it != completions_.end()) {
+    if (completed(j.id)) {
       if (std::abs(vols[static_cast<std::size_t>(j.id)] - j.volume) > tol * scale) {
         throw ModelError("Schedule::validate: completed job volume mismatch");
       }
-      if (it->second < j.release - tol) {
+      if (completion(j.id) < j.release - tol) {
         throw ModelError("Schedule::validate: completion precedes release");
       }
     } else if (vols[static_cast<std::size_t>(j.id)] > j.volume + tol * scale) {

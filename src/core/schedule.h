@@ -7,7 +7,8 @@
 // emit Constant segments.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/instance.h"
@@ -48,13 +49,20 @@ class Schedule {
   /// overlap (t0 >= previous t1 within tolerance; gaps become implicit idle).
   void append(Segment seg);
 
-  /// Marks job `id` complete at time `t`.
+  /// Pre-sizes the segment tape (optional; saves the regrowth of long tapes).
+  void reserve(std::size_t n_segments) { segments_.reserve(n_segments); }
+
+  /// Marks job `id` complete at time `t` (a later call for the same id
+  /// overwrites).  Completions are stored densely from the smallest id seen,
+  /// so a window of a long stream holds one slot per id in the window.
   void set_completion(JobId id, double t);
 
   [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
-  [[nodiscard]] const std::map<JobId, double>& completions() const { return completions_; }
+  /// Number of distinct jobs marked complete.
+  [[nodiscard]] std::size_t completed_count() const { return completed_count_; }
+  /// Completion time of job `id`; throws ModelError if it never completed.
   [[nodiscard]] double completion(JobId id) const;
-  [[nodiscard]] bool completed(JobId id) const { return completions_.count(id) > 0; }
+  [[nodiscard]] bool completed(JobId id) const;
   [[nodiscard]] double alpha() const { return alpha_; }
 
   /// End of the last segment (0 for an empty schedule).
@@ -84,7 +92,11 @@ class Schedule {
   double alpha_;
   PowerLawKinematics kin_;
   std::vector<Segment> segments_;
-  std::map<JobId, double> completions_;
+  // Completion of job id_base_ + i is completion_at_[i] when done_[i] is set.
+  std::int64_t id_base_ = 0;
+  std::vector<double> completion_at_;
+  std::vector<bool> done_;
+  std::size_t completed_count_ = 0;
 };
 
 }  // namespace speedscale

@@ -17,8 +17,8 @@
 //   * the non-uniform Algorithm NC re-solves C on the evolving instance I(t).
 #pragma once
 
-#include <deque>
-#include <set>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/core/instance.h"
@@ -36,6 +36,10 @@ class CMachine {
   /// Adds a job. `job.release` must be >= the current frontier time.
   /// Jobs may be added in any release order as long as this holds.
   void add_job(const Job& job);
+
+  /// Pre-sizes the job state and the schedule for `n_jobs` more jobs
+  /// (optional; it saves the regrowth of a large batch).
+  void reserve(std::size_t n_jobs);
 
   /// Advances the simulation frontier to time t (>= current frontier),
   /// processing all releases/completions in between.
@@ -64,12 +68,12 @@ class CMachine {
   /// True when no active or pending work remains.
   [[nodiscard]] bool drained() const;
 
-  /// Time when all currently-known jobs will complete if nothing else
-  /// arrives.  (Computed analytically without advancing the frontier.)
-  [[nodiscard]] double completion_time_of_all() const;
-
   /// The recorded schedule (valid up to the frontier).
   [[nodiscard]] const Schedule& schedule() const { return schedule_; }
+
+  /// Moves the recorded schedule out of a finished machine, which is left
+  /// with an empty schedule and must not be advanced again.
+  [[nodiscard]] Schedule take_schedule() && { return std::move(schedule_); }
 
   /// Number of active (released, unfinished) jobs at the frontier.
   [[nodiscard]] std::size_t active_count() const { return active_.size(); }
@@ -99,10 +103,22 @@ class CMachine {
   [[nodiscard]] Metrics online_metrics() const { return om_.metrics(); }
 
  private:
+  // Jobs live in dense slots (insertion order).  Both queues hold keys that
+  // carry the slot, so the event loop never looks up an id.
+  struct PendingKey {
+    double release;  ///< max(release, frontier at add_job)
+    JobId id;
+    std::uint32_t slot;
+    bool operator<(const PendingKey& o) const {
+      if (release != o.release) return release < o.release;
+      return id < o.id;
+    }
+  };
   struct ActiveKey {
     double density;
     double release;
     JobId id;
+    std::uint32_t slot;
     /// HDF first; FIFO within a density level; ids break exact ties.
     bool operator<(const ActiveKey& o) const {
       if (density != o.density) return density > o.density;
@@ -110,17 +126,21 @@ class CMachine {
       return id < o.id;
     }
   };
+  // std heaps keep the comparator's maximum on top; this puts the least
+  // ActiveKey there.  Keys are unique (ids are), so the top is what an
+  // ordered set's begin() would be.
+  static bool active_after(const ActiveKey& a, const ActiveKey& b) { return b < a; }
 
   struct JobState {
     Job job;
     double remaining = 0.0;
-    bool released = false;
     bool done = false;
   };
 
   [[nodiscard]] const JobState& state(JobId id) const;
-  [[nodiscard]] JobState& state(JobId id);
   void release_due_jobs();
+
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   PowerLawKinematics kin_;
   double now_ = 0.0;
@@ -128,15 +148,17 @@ class CMachine {
   double energy_acc_ = 0.0;         // cumulative int W dt (tracing only)
   bool online_on_ = false;
   engine::OnlineMetrics om_;        // online objective (opt-in only)
-  JobId running_ = kNoJob;          // job of the last appended segment
+  std::uint32_t running_ = kNoSlot; // slot of the last appended segment's job
   MachineId obs_machine_ = kNoMachine;
   Schedule schedule_;
-  std::vector<JobState> jobs_;              // indexed by insertion order
-  std::vector<std::size_t> index_of_id_;    // JobId -> index in jobs_
-  std::vector<JobId> ids_;                  // insertion order -> JobId
-  std::set<ActiveKey> active_;
-  // Pending (not yet released) jobs ordered by (release, id).
-  std::set<std::pair<double, JobId>> pending_;
+  std::vector<JobState> jobs_;              // indexed by slot
+  std::vector<std::uint32_t> slot_of_id_;   // JobId -> slot, for the id queries
+  // Not yet released, sorted by (release, id) from pending_head_ on; cleared
+  // whenever the head reaches the end.  Callers add jobs in release order, so
+  // an add appends and a release advances the head.
+  std::vector<PendingKey> pending_;
+  std::size_t pending_head_ = 0;
+  std::vector<ActiveKey> active_;           // heap: released, unfinished
 };
 
 /// Runs Algorithm C start-to-finish on an instance and returns its schedule.

@@ -154,15 +154,6 @@ TEST(CMachine, IncrementalAdditionMatchesBatch) {
   }
 }
 
-TEST(CMachine, CompletionTimeOfAllIsNonMutating) {
-  CMachine m(2.0);
-  m.add_job(Job{0, 0.0, 1.0, 1.0});
-  const double t_all = m.completion_time_of_all();
-  EXPECT_DOUBLE_EQ(m.now(), 0.0);  // frontier unchanged
-  m.run_to_completion();
-  EXPECT_NEAR(m.now(), t_all, 1e-12);
-}
-
 TEST(CMachine, RejectsMisuse) {
   CMachine m(2.0);
   m.add_job(Job{0, 1.0, 1.0, 1.0});

@@ -1,14 +1,18 @@
 // Tests for identical parallel machines (paper Section 6: C-PAR, NC-PAR).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <utility>
+#include <vector>
 
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_uniform.h"
 #include "src/algo/bounds.h"
 #include "src/algo/parallel.h"
+#include "src/core/power.h"
 #include "src/workload/generators.h"
 
 namespace speedscale {
@@ -103,7 +107,7 @@ TEST(Parallel, SchedulesAreDisjointPerJob) {
   }
   // Every job completes exactly once across machines.
   std::size_t completed = 0;
-  for (const Schedule& s : par.schedules) completed += s.completions().size();
+  for (const Schedule& s : par.schedules) completed += s.completed_count();
   EXPECT_EQ(completed, inst.size());
 }
 
@@ -178,8 +182,108 @@ TEST(Parallel, CParHandlesNonUniformDensities) {
   const ParallelRun par = run_c_par(mixed, 2.5, 3);
   EXPECT_GT(par.metrics.fractional_objective(), 0.0);
   std::size_t completed = 0;
-  for (const Schedule& s : par.schedules) completed += s.completions().size();
+  for (const Schedule& s : par.schedules) completed += s.completed_count();
   EXPECT_EQ(completed, mixed.size());
+}
+
+/// The per-machine replay as parallel_metrics used to build it: a local
+/// Instance per machine (ids renumbered in global id order) and a copied,
+/// renumbered Schedule, each replayed by compute_metrics.  Kept as the oracle
+/// for the in-place replay.
+Metrics rebuilt_parallel_metrics(const Instance& instance, const std::vector<Schedule>& schedules,
+                                 const std::vector<MachineId>& assignment, double alpha) {
+  const PowerLaw power(alpha);
+  Metrics total;
+  for (std::size_t mi = 0; mi < schedules.size(); ++mi) {
+    std::vector<Job> local_jobs;
+    std::map<JobId, JobId> to_local;
+    for (const Job& j : instance.jobs()) {
+      if (assignment[static_cast<std::size_t>(j.id)] == static_cast<MachineId>(mi)) {
+        to_local[j.id] = static_cast<JobId>(local_jobs.size());
+        local_jobs.push_back(j);
+      }
+    }
+    if (local_jobs.empty()) continue;
+    const Instance local(std::move(local_jobs));
+    Schedule local_sched(alpha);
+    for (Segment seg : schedules[mi].segments()) {
+      if (seg.job != kNoJob) seg.job = to_local.at(seg.job);
+      local_sched.append(seg);
+    }
+    for (const auto& [gid, lid] : to_local) {
+      local_sched.set_completion(lid, schedules[mi].completion(gid));
+    }
+    total = combine(total, compute_metrics(local, local_sched, power));
+  }
+  return total;
+}
+
+void expect_identical(const Metrics& got, const Metrics& want) {
+  EXPECT_EQ(got.energy, want.energy);
+  EXPECT_EQ(got.fractional_flow, want.fractional_flow);
+  EXPECT_EQ(got.integral_flow, want.integral_flow);
+}
+
+void expect_matches_rebuilt(const Instance& inst, const ParallelRun& run, double alpha) {
+  expect_identical(run.metrics,
+                   rebuilt_parallel_metrics(inst, run.schedules, run.assignment, alpha));
+}
+
+// The in-place per-machine replay is bit for bit the rebuilt one: same
+// release tie-breaks, same Kahan add order, same integral-flow sum order.
+TEST(ParallelMetrics, InPlaceReplayEqualsRebuiltInstances) {
+  // The reversed instance numbers jobs against release order, so FIFO order
+  // and id order differ.
+  std::vector<Job> reversed = uniform_instance(300, 4, 1.5).jobs();
+  std::reverse(reversed.begin(), reversed.end());
+  const std::vector<Instance> uniform = {
+      uniform_instance(400, 2, 1.5), uniform_instance(400, 9, 1.5), Instance(std::move(reversed)),
+      workload::batch_at_zero(40, workload::VolumeDist::kExponential, 1.0, 0.0, 5)};
+  const Instance mixed = workload::generate(
+      {.n_jobs = 300, .density_mode = workload::DensityMode::kClasses, .seed = 8});
+  for (const double alpha : {1.5, 2.0, 3.0}) {
+    for (const int k : {1, 3, 4}) {
+      for (const Instance& inst : uniform) {
+        expect_matches_rebuilt(inst, run_c_par(inst, alpha, k), alpha);
+        expect_matches_rebuilt(inst, run_nc_par(inst, alpha, k), alpha);
+      }
+      expect_matches_rebuilt(mixed, run_c_par(mixed, alpha, k), alpha);
+    }
+  }
+}
+
+TEST(ParallelMetrics, EmptyMachineContributesNothing) {
+  // Five machines, two jobs: three machines stay empty.
+  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.2, 2.0, 1.0}});
+  for (const ParallelRun& run : {run_c_par(inst, 2.0, 5), run_nc_par(inst, 2.0, 5)}) {
+    expect_matches_rebuilt(inst, run, 2.0);
+  }
+  // An explicit assignment that leaves machine 0 empty.
+  const Instance two({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.5, 1.0, 1.0}});
+  std::vector<Schedule> schedules(2, Schedule(2.0));
+  schedules[1].append({0.0, 1.0, 0, SpeedLaw::kConstant, 1.0, 1.0});
+  schedules[1].append({1.0, 2.0, 1, SpeedLaw::kConstant, 1.0, 1.0});
+  schedules[1].set_completion(0, 1.0);
+  schedules[1].set_completion(1, 2.0);
+  const std::vector<MachineId> assignment{1, 1};
+  expect_identical(parallel_metrics(two, schedules, assignment, 2.0),
+                   rebuilt_parallel_metrics(two, schedules, assignment, 2.0));
+}
+
+TEST(ParallelMetrics, SegmentOfUnassignedJobThrows) {
+  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.0, 1.0, 1.0}});
+  std::vector<Schedule> schedules(2, Schedule(2.0));
+  // Machine 0 is assigned job 0 but its schedule processes job 1.
+  schedules[0].append({0.0, 1.0, 0, SpeedLaw::kConstant, 1.0, 1.0});
+  schedules[0].append({1.0, 2.0, 1, SpeedLaw::kConstant, 1.0, 1.0});
+  schedules[0].set_completion(0, 1.0);
+  schedules[1].append({0.0, 1.0, 1, SpeedLaw::kConstant, 1.0, 1.0});
+  schedules[1].set_completion(1, 1.0);
+  EXPECT_THROW((void)parallel_metrics(inst, schedules, {0, 1}, 2.0), ModelError);
+  // A segment naming a job outside the instance is not assigned here either.
+  std::vector<Schedule> stray(1, Schedule(2.0));
+  stray[0].append({0.0, 1.0, 7, SpeedLaw::kConstant, 1.0, 1.0});
+  EXPECT_THROW((void)parallel_metrics(inst, stray, {0, 0}, 2.0), ModelError);
 }
 
 }  // namespace

@@ -87,6 +87,36 @@ TEST(Schedule, CompletionAccessors) {
   EXPECT_THROW((void)s.completion(4), ModelError);
 }
 
+// Completions are dense from the smallest id seen: a window of a long stream
+// (ids near 1e7) round-trips without a slot per stream id, in any order.
+TEST(Schedule, CompletionsAtLargeIdsRoundTrip) {
+  constexpr JobId kBase = 10'000'000;
+  Schedule s(2.0);
+  for (JobId id = kBase + 50; id >= kBase; id -= 5) s.set_completion(id, 0.25 * (id - kBase));
+  for (JobId id = kBase + 51; id <= kBase + 101; id += 5) s.set_completion(id, 0.25 * (id - kBase));
+  EXPECT_EQ(s.completed_count(), 22u);
+  for (JobId id = kBase; id <= kBase + 101; ++id) {
+    const bool set = (id - kBase <= 50 && (id - kBase) % 5 == 0) ||
+                     (id - kBase >= 51 && (id - kBase - 51) % 5 == 0);
+    EXPECT_EQ(s.completed(id), set) << id;
+    if (set) {
+      EXPECT_EQ(s.completion(id), 0.25 * (id - kBase));
+    } else {
+      EXPECT_THROW((void)s.completion(id), ModelError) << id;
+    }
+  }
+  // Unknown ids below, above and far from the window still throw.
+  for (const JobId id : {0, kBase - 1, kBase - 1000, kBase + 5000, kNoJob}) {
+    EXPECT_FALSE(s.completed(id));
+    EXPECT_THROW((void)s.completion(id), ModelError) << id;
+  }
+  // A later completion of the same job overwrites without recounting.
+  s.set_completion(kBase, 9.0);
+  EXPECT_EQ(s.completed_count(), 22u);
+  EXPECT_EQ(s.completion(kBase), 9.0);
+  EXPECT_EQ(Schedule(2.0).completed_count(), 0u);
+}
+
 TEST(Schedule, ValidateCatchesViolations) {
   const Instance inst({Job{kNoJob, 1.0, 2.0, 1.0}});
   {
