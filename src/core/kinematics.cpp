@@ -16,16 +16,30 @@ double PowerLawKinematics::speed_at_weight(double w) const {
 
 double PowerLawKinematics::decay_weight_after(double w0, double rho, double dt) const {
   if (w0 <= 0.0) return 0.0;
-  const double root = std::pow(w0, b_) - rho * b_ * dt;
-  if (root <= 0.0) return 0.0;
-  return std::pow(root, 1.0 / b_);
+  return decay_weight_after_pow(pow_b(w0), rho, dt);
 }
 
 double PowerLawKinematics::decay_time_to_weight(double w0, double w1, double rho) const {
   if (w1 > w0) throw ModelError("decay_time_to_weight: w1 must not exceed w0");
   if (w0 <= 0.0) return 0.0;
+  return decay_time_to_weight_pow(pow_b(w0), w1, rho);
+}
+
+double PowerLawKinematics::pow_b(double w) const { return std::pow(w, b_); }
+
+// For w0 >= 0, w0^b <= 0 exactly when w0 <= 0 (w^b >= w for w <= 1, so it
+// cannot underflow), which is the plain forms' early return.
+double PowerLawKinematics::decay_weight_after_pow(double w0b, double rho, double dt) const {
+  if (w0b <= 0.0) return 0.0;
+  const double root = w0b - rho * b_ * dt;
+  if (root <= 0.0) return 0.0;
+  return std::pow(root, 1.0 / b_);
+}
+
+double PowerLawKinematics::decay_time_to_weight_pow(double w0b, double w1, double rho) const {
+  if (w0b <= 0.0) return 0.0;
   const double w1c = std::max(w1, 0.0);
-  return (std::pow(w0, b_) - std::pow(w1c, b_)) / (rho * b_);
+  return (w0b - std::pow(w1c, b_)) / (rho * b_);
 }
 
 double PowerLawKinematics::decay_time_to_zero(double w0, double rho) const {

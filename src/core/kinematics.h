@@ -56,6 +56,15 @@ class PowerLawKinematics {
   /// Time for the weight to fall from w0 to w1 (requires 0 <= w1 <= w0).
   [[nodiscard]] double decay_time_to_weight(double w0, double w1, double rho) const;
 
+  /// w^b, the coordinate in which the decay is linear.  An event loop that
+  /// needs both closed forms below from one start weight w0 >= 0 takes
+  /// w0^b once and passes it to the `_pow` forms, which then equal
+  /// decay_weight_after and decay_time_to_weight bit for bit.
+  [[nodiscard]] double pow_b(double w) const;
+  [[nodiscard]] double decay_weight_after_pow(double w0b, double rho, double dt) const;
+  /// Requires w1 <= w0 (not checked: w0 itself is not passed).
+  [[nodiscard]] double decay_time_to_weight_pow(double w0b, double w1, double rho) const;
+
   /// Time for the weight to fall from w0 to 0 (Lemma 2.2 rearranged).
   [[nodiscard]] double decay_time_to_zero(double w0, double rho) const;
 

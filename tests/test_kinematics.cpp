@@ -111,6 +111,26 @@ TEST_P(KinematicsAlpha, VolumeBookkeeping) {
   EXPECT_DOUBLE_EQ(PowerLawKinematics::grow_volume(w1, w0, rho), 2.0);
 }
 
+// The C kernel shares w0^b between a stretch's two closed forms; the `_pow`
+// forms must then be the plain forms exactly, including their zero edges.
+TEST_P(KinematicsAlpha, PowFormsEqualPlainFormsBitForBit) {
+  const PowerLawKinematics kin(GetParam());
+  for (const double w0 : {0.0, 5e-324, 1e-300, 1e-17, 0.3, 1.0, 7.5, 1e6, 1e12}) {
+    const double w0b = kin.pow_b(w0);
+    for (const double rho : {0.25, 1.0, 8.0}) {
+      for (const double dt : {0.0, 1e-9, 0.1, 3.0, 1e3}) {
+        EXPECT_EQ(kin.decay_weight_after_pow(w0b, rho, dt), kin.decay_weight_after(w0, rho, dt))
+            << w0 << " " << rho << " " << dt;
+      }
+      for (const double w1 : {-1.0, 0.0, 0.5 * w0, w0}) {
+        EXPECT_EQ(kin.decay_time_to_weight_pow(w0b, w1, rho),
+                  kin.decay_time_to_weight(w0, w1, rho))
+            << w0 << " " << rho << " " << w1;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AlphaGrid, KinematicsAlpha,
                          ::testing::Values(1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0));
 
