@@ -13,10 +13,10 @@
 //                                               # the pinned engine.stream/10M run
 //
 // With --json the run is emitted as a speedscale.bench_ledger/1 document:
-// the engine's deterministic tallies (jobs, arena high-water/slots, recorder
-// counts) as hard-gated work counters, wall time per repetition as the
-// advisory half, and the measured RSS waypoints in the (ungated) config
-// block.  scripts/run_bench_suite.py merges this into BENCH.json next to
+// the engine's deterministic tallies (jobs, arena high-water/slots, kinematics
+// pow calls, recorder counts) as hard-gated work counters, wall time per
+// repetition as the advisory half, and the measured RSS waypoints in the
+// (ungated) config block.  scripts/run_bench_suite.py merges this into BENCH.json next to
 // the pinned engine.stream/* suite entries.
 //
 // Exit status: 0 ok, 1 plateau/ceiling breach or nondeterministic counters,
@@ -207,6 +207,7 @@ int main(int argc, char** argv) {
     counters["engine.stream.arena_high_water"] =
         static_cast<std::int64_t>(res.arena_high_water);
     counters["engine.stream.arena_slots"] = static_cast<std::int64_t>(res.arena_capacity);
+    counters["engine.stream.pow_calls"] = static_cast<std::int64_t>(res.pow_calls);
     if (mode != engine::RecordMode::kOff) {
       counters["engine.stream.segments_recorded"] =
           static_cast<std::int64_t>(res.segments_recorded);
@@ -226,13 +227,16 @@ int main(int argc, char** argv) {
     warmup_kb = probed.warmup_kb();
     max_kb = probed.max_after_warmup_kb();
     final_kb = probed.final_kb();
+    // ns/job is the whole run per job (source, RSS probe and engine); pow
+    // calls per job is the kinematics layer's work counter (at most 2).
+    const double per_job = 1.0 / static_cast<double>(res.jobs);
     std::printf(
         "%-20s rep=%d  jobs=%llu  makespan=%.3f  energy=%.6g  flow=%.6g  "
-        "arena=%zu/%zu slots  wall=%.3f ms\n",
+        "arena=%zu/%zu slots  wall=%.3f ms  ns/job=%.1f  pow_calls/job=%.3f\n",
         name.c_str(), rep, static_cast<unsigned long long>(res.jobs), res.makespan,
         res.online.energy, res.online.fractional_flow, res.arena_high_water,
-        res.arena_capacity,
-        entry.wall_ns.back() * 1e-6);
+        res.arena_capacity, entry.wall_ns.back() * 1e-6, entry.wall_ns.back() * per_job,
+        static_cast<double>(res.pow_calls) * per_job);
     std::printf("  rss: warmup=%.1f MB  max_after_warmup=%.1f MB  final=%.1f MB  "
                 "(%llu samples, every %llu jobs)\n",
                 warmup_kb / 1024.0, max_kb / 1024.0, final_kb / 1024.0,

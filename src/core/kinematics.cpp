@@ -27,13 +27,20 @@ double PowerLawKinematics::decay_time_to_weight(double w0, double w1, double rho
 
 double PowerLawKinematics::pow_b(double w) const { return std::pow(w, b_); }
 
+double PowerLawKinematics::weight_from_pow(double wb) const {
+  if (wb <= 0.0) return 0.0;
+  return std::pow(wb, 1.0 / b_);
+}
+
 // For w0 >= 0, w0^b <= 0 exactly when w0 <= 0 (w^b >= w for w <= 1, so it
 // cannot underflow), which is the plain forms' early return.
-double PowerLawKinematics::decay_weight_after_pow(double w0b, double rho, double dt) const {
+double PowerLawKinematics::decay_pow_after(double w0b, double rho, double dt) const {
   if (w0b <= 0.0) return 0.0;
-  const double root = w0b - rho * b_ * dt;
-  if (root <= 0.0) return 0.0;
-  return std::pow(root, 1.0 / b_);
+  return std::max(w0b - rho * b_ * dt, 0.0);
+}
+
+double PowerLawKinematics::decay_weight_after_pow(double w0b, double rho, double dt) const {
+  return weight_from_pow(decay_pow_after(w0b, rho, dt));
 }
 
 double PowerLawKinematics::decay_time_to_weight_pow(double w0b, double w1, double rho) const {
@@ -74,6 +81,15 @@ double PowerLawKinematics::grow_integral(double u0, double u1, double rho) const
   const double p = 1.0 + b_;
   const double u0c = std::max(u0, 0.0);
   return (std::pow(u1, p) - std::pow(u0c, p)) / (rho * p);
+}
+
+double PowerLawKinematics::grow_time_to_weight_pow(double u0b, double u1b, double rho) const {
+  return (u1b - u0b) / (rho * b_);
+}
+
+double PowerLawKinematics::grow_integral_pow(double u0, double u0b, double u1, double u1b,
+                                             double rho) const {
+  return (u1 * u1b - u0 * u0b) / (rho * (1.0 + b_));
 }
 
 double PowerLawKinematics::grow_volume(double u0, double u1, double rho) {

@@ -61,6 +61,10 @@ class PowerLawKinematics {
   /// w0^b once and passes it to the `_pow` forms, which then equal
   /// decay_weight_after and decay_time_to_weight bit for bit.
   [[nodiscard]] double pow_b(double w) const;
+  /// w from w^b: (w^b)^{1/b}, and 0 for wb <= 0 without calling pow.
+  [[nodiscard]] double weight_from_pow(double wb) const;
+  /// W^b after decaying for dt from w0^b, clamped at 0: the decay with no pow.
+  [[nodiscard]] double decay_pow_after(double w0b, double rho, double dt) const;
   [[nodiscard]] double decay_weight_after_pow(double w0b, double rho, double dt) const;
   /// Requires w1 <= w0 (not checked: w0 itself is not passed).
   [[nodiscard]] double decay_time_to_weight_pow(double w0b, double w1, double rho) const;
@@ -95,6 +99,16 @@ class PowerLawKinematics {
 
   /// Volume processed while U grows from u0 to u1: (u1 - u0) / rho.
   [[nodiscard]] static double grow_volume(double u0, double u1, double rho);
+
+  /// The growth forms from u0^b and u1^b (u0b = pow_b(u0), u1b = pow_b(u1),
+  /// or the decayed W^b a tracker already holds): the time is linear in the
+  /// b-coordinate and u^{1+b} = u * u^b, so neither form calls pow.  They
+  /// agree with grow_time_to_weight / grow_integral to a few ulp but not bit
+  /// for bit, since u * u^b rounds differently from u^{1+b}.  Requires
+  /// u1 >= u0 >= 0 (not checked).
+  [[nodiscard]] double grow_time_to_weight_pow(double u0b, double u1b, double rho) const;
+  [[nodiscard]] double grow_integral_pow(double u0, double u0b, double u1, double u1b,
+                                         double rho) const;
 
  private:
   double alpha_;

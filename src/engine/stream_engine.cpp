@@ -16,20 +16,23 @@ namespace speedscale::engine {
 
 namespace {
 
-/// A job waiting in (or at the head of) a machine's FIFO queue.  `dt` is the
-/// segment duration, computed once when the job reaches the head (the
-/// frontier is final by then) and cached across drain passes.
+/// A job waiting in (or at the head of) a machine's FIFO queue.  Its
+/// segment sweeps U from u0 to u1 = u0 + w; both ends' b-powers are fixed at
+/// admit, so the segment's time and energy need no further pow.  `start` is
+/// set once the job reaches the head (the frontier is final by then).
 struct Pending {
   JobArena::Slot slot = JobArena::kNoSlot;
-  double offset = 0.0;  ///< W^C(r^-) + tied-cohort weights, fixed at admit
+  double offset = 0.0;  ///< u0 = W^C(r^-) + tied-cohort weights, fixed at admit
+  double u0b = 0.0;     ///< u0^b
+  double u1b = 0.0;     ///< (u0 + w)^b
   double start = 0.0;
   double dt = -1.0;     ///< < 0 until computed at the queue head
 };
 
 struct Machine {
-  double frontier = 0.0;  ///< end of the last scheduled segment
-  double c_weight = 0.0;  ///< virtual clairvoyant remaining weight
-  double c_time = 0.0;    ///< time c_weight refers to
+  double frontier = 0.0;    ///< end of the last scheduled segment
+  double c_weight_b = 0.0;  ///< W^b of the virtual clairvoyant remaining weight
+  double c_time = 0.0;      ///< time c_weight_b refers to
   std::deque<Pending> queue;
   std::uint64_t assigned = 0;
 };
@@ -61,6 +64,7 @@ StreamResult StreamEngine::run(JobSource& source) {
   StreamResult result;
   std::vector<Machine> machines(static_cast<std::size_t>(options_.machines));
   double rho = 0.0;  // uniform density, learned from the first job
+  std::uint64_t pow_calls = 0;  // kinematics pows; the traced speed_at_weight is left out
   obs::MetricsRegistry& reg = obs::registry();
 
   // Completes every finished job at the head of machine m's queue whose
@@ -73,8 +77,7 @@ StreamResult StreamEngine::run(JobSource& source) {
       Pending& p = m.queue.front();
       if (p.dt < 0.0) {
         p.start = std::max(m.frontier, arena.release(p.slot));
-        const double w = arena.weight(p.slot);
-        p.dt = kin.grow_time_to_weight(p.offset, p.offset + w, rho);
+        p.dt = kin.grow_time_to_weight_pow(p.u0b, p.u1b, rho);
       }
       const double t_end = p.start + p.dt;
       if (t_end > now) break;
@@ -88,7 +91,7 @@ StreamResult StreamEngine::run(JobSource& source) {
       // segment energy is the C energy of the swept weight band, and the
       // job's whole-lifetime fractional flow folds its waiting time in at
       // completion.
-      const double e_j = kin.grow_integral(u0, u1, rho);
+      const double e_j = kin.grow_integral_pow(u0, p.u0b, u1, p.u1b, rho);
       om.add_energy(e_j);
       om.add_fractional_flow(w * (p.start - release) + u1 * p.dt - e_j);
       om.add_integral_flow(w * (t_end - release));
@@ -159,14 +162,19 @@ StreamResult StreamEngine::run(JobSource& source) {
 
     const std::size_t mi = dispatch_next();
     Machine& m = machines[mi];
-    // Virtual C tracker: decay to the release, read the left limit, add w.
-    m.c_weight = kin.decay_weight_after(m.c_weight, rho, job.release - m.c_time);
+    // Virtual C tracker, kept as W^b where the decay is linear: decay to the
+    // release, read the left limit u0 (a pow unless C is idle), add w and
+    // take (u0 + w)^b, the new state and the segment's top end.
+    const double u0b = kin.decay_pow_after(m.c_weight_b, rho, job.release - m.c_time);
+    const double u0 = kin.weight_from_pow(u0b);
+    pow_calls += u0b > 0.0 ? 2 : 1;
+    // When w is below u0's rounding, (u0 + w)^b can land an ulp under u0b;
+    // the max keeps the segment's time and energy non-negative.
+    m.c_weight_b = std::max(kin.pow_b(u0 + job.density * job.volume), u0b);
     m.c_time = job.release;
-    const double offset = m.c_weight;
-    m.c_weight += job.density * job.volume;
 
     const JobArena::Slot slot = arena.admit(job.id, job.release, job.volume, job.density);
-    m.queue.push_back({slot, offset, 0.0, -1.0});
+    m.queue.push_back({slot, u0, u0b, m.c_weight_b, 0.0, -1.0});
     ++m.assigned;
   }
   drain_all(kInf);
@@ -178,6 +186,7 @@ StreamResult StreamEngine::run(JobSource& source) {
   result.segments_recorded = recorder_->recorded();
   result.segments_dropped = recorder_->dropped();
   result.spill_lines = recorder_->spilled_lines();
+  result.pow_calls = pow_calls;
 
   // One batched counter emission per run: per-event OBS_COUNTs would cost a
   // registry touch per job at 10M jobs, and the end-of-run totals are the
@@ -186,6 +195,7 @@ StreamResult StreamEngine::run(JobSource& source) {
   OBS_COUNT("engine.stream.arena_high_water",
             static_cast<std::int64_t>(result.arena_high_water));
   OBS_COUNT("engine.stream.arena_slots", static_cast<std::int64_t>(result.arena_capacity));
+  OBS_COUNT("engine.stream.pow_calls", static_cast<std::int64_t>(result.pow_calls));
   if (options_.recorder.mode != RecordMode::kOff) {
     OBS_COUNT("engine.stream.segments_recorded",
               static_cast<std::int64_t>(result.segments_recorded));

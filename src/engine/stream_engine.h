@@ -11,8 +11,13 @@
 //     decay *independently of which job C picks*, so the NC offset
 //     W^C(r_j^-) is: decay W between releases, take the value at r_j (the
 //     left limit — W^C is continuous, jumping only *up* at releases), then
-//     add w_j.  Tied releases fall out sequentially: the second job of a
-//     cohort sees left-limit + w_1, exactly run_nc_uniform's add-back rule;
+//     add w_j.  The tracker holds W^b (b = 1 - 1/alpha), in which the decay
+//     is linear: the left limit u0 = (W^b)^{1/b} is one pow (none when C has
+//     drained), and (u0 + w_j)^b is the other and the new state.  The job's
+//     segment time and energy follow from u0^b and u1^b with no further
+//     pow, so a job costs at most two (the engine.stream.pow_calls counter).
+//     Tied releases fall out sequentially: the second job of a cohort sees
+//     left-limit + w_1, run_nc_uniform's add-back rule;
 //   * OnlineMetrics accumulators (Kahan) — no post-hoc replay;
 //   * a SegmentRecorder (ring / ring+spill / off) instead of a Schedule.
 //
@@ -57,6 +62,7 @@ struct StreamResult {
   std::uint64_t segments_recorded = 0;
   std::uint64_t segments_dropped = 0;
   std::uint64_t spill_lines = 0;
+  std::uint64_t pow_calls = 0;  ///< kinematics std::pow calls: at most 2 per job
 };
 
 class StreamEngine {

@@ -1,14 +1,16 @@
 // Streaming engine (src/engine/): SoA arena recycling, pull-based job
 // sources (trace / synthetic / instance), the O(1) virtual-C offset tracker
 // against the exact simulator (ties included), bounded-memory recording
-// (ring, ring+spill round-trip), and the online-vs-replayed metrics contract
-// (engine::kOnlineVsReplayRelTol) across the exact simulators.
+// (ring, ring+spill round-trip), the online-vs-replayed metrics contract
+// (engine::kOnlineVsReplayRelTol) across the exact simulators, and the
+// engine against a long double reference on an edge grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "src/engine/stream_engine.h"
 #include "src/workload/generators.h"
 #include "src/workload/trace_io.h"
+#include "tests/nc_reference_long_double.h"
 
 namespace speedscale {
 namespace {
@@ -115,64 +118,156 @@ TEST(SyntheticJobSource, RejectsNonPositiveParams) {
 
 // --- Streaming engine vs the exact simulator --------------------------------
 
+// The engine's W^b tracker and run_nc_uniform's virtual C run reach the same
+// offsets by different arithmetic, so the equivalence holds to a tolerance,
+// checked from alpha near 1 (b = 1 - 1/alpha near 0, where the round trip
+// through W^b loses the most) to alpha = 8.
+constexpr double kEquivalenceAlphas[] = {1.01, 1.5, 2.0, 2.5, 3.0, 8.0};
+
 TEST(StreamEngine, MatchesRunNcUniformExactly) {
-  const double alpha = 2.0;
   const Instance inst = uniform_instance(120, 3);
-  const RunResult exact = run_nc_uniform(inst, alpha);
+  for (const double alpha : kEquivalenceAlphas) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    const RunResult exact = run_nc_uniform(inst, alpha);
 
-  StreamOptions options;
-  options.alpha = alpha;
-  options.recorder.mode = RecordMode::kRing;
-  options.recorder.ring_capacity = 1 << 10;  // whole run fits: no drops
-  StreamEngine eng(options);
-  InstanceJobSource source(inst);
-  const StreamResult res = eng.run(source);
+    StreamOptions options;
+    options.alpha = alpha;
+    options.recorder.mode = RecordMode::kRing;
+    options.recorder.ring_capacity = 1 << 10;  // whole run fits: no drops
+    StreamEngine eng(options);
+    InstanceJobSource source(inst);
+    const StreamResult res = eng.run(source);
 
-  ASSERT_EQ(res.jobs, inst.size());
-  EXPECT_EQ(res.segments_dropped, 0u);
-  const Schedule streamed = eng.recorder().to_schedule();
-  ASSERT_EQ(streamed.segments().size(), exact.schedule.segments().size());
-  for (std::size_t i = 0; i < streamed.segments().size(); ++i) {
-    const Segment& s = streamed.segments()[i];
-    const Segment& e = exact.schedule.segments()[i];
-    EXPECT_EQ(s.job, e.job);
-    EXPECT_NEAR(s.t0, e.t0, 1e-9 * std::max(1.0, std::abs(e.t0)));
-    EXPECT_NEAR(s.t1, e.t1, 1e-9 * std::max(1.0, std::abs(e.t1)));
-    EXPECT_NEAR(s.param, e.param, 1e-9 * std::max(1.0, std::abs(e.param)));
+    ASSERT_EQ(res.jobs, inst.size());
+    EXPECT_EQ(res.segments_dropped, 0u);
+    const Schedule streamed = eng.recorder().to_schedule();
+    ASSERT_EQ(streamed.segments().size(), exact.schedule.segments().size());
+    for (std::size_t i = 0; i < streamed.segments().size(); ++i) {
+      const Segment& s = streamed.segments()[i];
+      const Segment& e = exact.schedule.segments()[i];
+      EXPECT_EQ(s.job, e.job);
+      EXPECT_NEAR(s.t0, e.t0, 1e-9 * std::max(1.0, std::abs(e.t0)));
+      EXPECT_NEAR(s.t1, e.t1, 1e-9 * std::max(1.0, std::abs(e.t1)));
+      EXPECT_NEAR(s.param, e.param, 1e-9 * std::max(1.0, std::abs(e.param)));
+    }
+    for (const Job& j : inst.jobs()) {
+      EXPECT_NEAR(streamed.completion(j.id), exact.schedule.completion(j.id),
+                  1e-9 * std::max(1.0, exact.schedule.completion(j.id)));
+    }
+    EXPECT_NEAR(res.online.energy, exact.metrics.energy, 1e-9 * exact.metrics.energy);
+    EXPECT_NEAR(res.online.fractional_flow, exact.metrics.fractional_flow,
+                1e-9 * exact.metrics.fractional_flow);
+    EXPECT_NEAR(res.online.integral_flow, exact.metrics.integral_flow,
+                1e-9 * exact.metrics.integral_flow);
   }
-  for (const Job& j : inst.jobs()) {
-    EXPECT_NEAR(streamed.completion(j.id), exact.schedule.completion(j.id),
-                1e-9 * std::max(1.0, exact.schedule.completion(j.id)));
-  }
-  EXPECT_NEAR(res.online.energy, exact.metrics.energy, 1e-9 * exact.metrics.energy);
-  EXPECT_NEAR(res.online.fractional_flow, exact.metrics.fractional_flow,
-              1e-9 * exact.metrics.fractional_flow);
-  EXPECT_NEAR(res.online.integral_flow, exact.metrics.integral_flow,
-              1e-9 * exact.metrics.integral_flow);
 }
 
 TEST(StreamEngine, TiedReleasesMatchAddBackCohortRule) {
   // Three jobs released together, then two more together: the sequential
   // virtual-C tracker must reproduce run_nc_uniform's add-back-cohort left
-  // limits exactly.
-  const double alpha = 2.5;
+  // limits.
   const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.0, 0.5, 1.0},
                        Job{kNoJob, 0.0, 2.0, 1.0}, Job{kNoJob, 1.5, 1.0, 1.0},
                        Job{kNoJob, 1.5, 0.25, 1.0}});
-  const RunResult exact = run_nc_uniform(inst, alpha);
+  for (const double alpha : kEquivalenceAlphas) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    const RunResult exact = run_nc_uniform(inst, alpha);
 
-  StreamOptions options;
-  options.alpha = alpha;
-  StreamEngine eng(options);
-  InstanceJobSource source(inst);
-  const StreamResult res = eng.run(source);
-  const Schedule streamed = eng.recorder().to_schedule();
-  for (const Job& j : inst.jobs()) {
-    EXPECT_NEAR(streamed.completion(j.id), exact.schedule.completion(j.id),
-                1e-9 * std::max(1.0, exact.schedule.completion(j.id)))
-        << "job " << j.id;
+    StreamOptions options;
+    options.alpha = alpha;
+    StreamEngine eng(options);
+    InstanceJobSource source(inst);
+    const StreamResult res = eng.run(source);
+    const Schedule streamed = eng.recorder().to_schedule();
+    for (const Job& j : inst.jobs()) {
+      EXPECT_NEAR(streamed.completion(j.id), exact.schedule.completion(j.id),
+                  1e-9 * std::max(1.0, exact.schedule.completion(j.id)))
+          << "job " << j.id;
+    }
+    EXPECT_NEAR(res.online.energy, exact.metrics.energy, 1e-9 * exact.metrics.energy);
   }
-  EXPECT_NEAR(res.online.energy, exact.metrics.energy, 1e-9 * exact.metrics.energy);
+}
+
+// --- Streaming engine vs the long double reference -------------------------
+
+/// Edge instances for the extended-precision check, all of density 1.
+Instance edge_instance(const std::string& kind) {
+  std::mt19937_64 rng(7);
+  std::exponential_distribution<double> gap(1.0);
+  std::vector<Job> jobs;
+  double t = 0.0;
+  if (kind == "ties") {  // cohorts of 1..5 tied releases
+    std::uniform_int_distribution<int> cohort(1, 5);
+    while (jobs.size() < 3000) {
+      t += gap(rng);
+      for (int c = cohort(rng); c > 0; --c) jobs.push_back({kNoJob, t, gap(rng), 1.0});
+    }
+  } else if (kind == "volumes") {  // log-uniform over 1e-9..1e9
+    std::uniform_real_distribution<double> exponent(-9.0, 9.0);
+    for (int i = 0; i < 3000; ++i) {
+      t += gap(rng);
+      jobs.push_back({kNoJob, t, std::pow(10.0, exponent(rng)), 1.0});
+    }
+  } else {  // "horizon": 100k releases reaching t ~ 1e7
+    for (int i = 0; i < 100'000; ++i) {
+      t += 100.0 * gap(rng);
+      jobs.push_back({kNoJob, t, 1000.0 * gap(rng), 1.0});
+    }
+  }
+  return Instance(std::move(jobs));
+}
+
+double rel_error(double got, long double want) {
+  return static_cast<double>(std::fabs((static_cast<long double>(got) - want) / want));
+}
+
+TEST(StreamEngine, MatchesLongDoubleReferenceOnEdgeGrid) {
+  // One relative bound on the online metrics, the makespan and the Lemma 3/4
+  // residual.  The largest error is alpha = 8 on the long horizon (about
+  // 3e-11): the tracker's offsets drift against the reference over the deep
+  // backlog.  The alpha = 1.01 horizon is the case a tracker holding W
+  // instead of W^b fails (flows off by ~4e-7): near a drained C its
+  // u0 = (W^b)^{101} underflows and u0^b is lost.
+  constexpr double kRelBound = 1e-10;
+  for (const std::string kind : {"ties", "volumes", "horizon"}) {
+    const Instance inst = edge_instance(kind);
+    for (const double alpha : {1.01, 1.5, 3.0, 8.0}) {
+      SCOPED_TRACE(kind + " alpha " + std::to_string(alpha));
+      StreamOptions options;
+      options.alpha = alpha;
+      options.recorder.ring_capacity = 1 << 17;  // every segment of the run
+      StreamEngine eng(options);
+      InstanceJobSource source(inst);
+      const StreamResult res = eng.run(source);
+      const testing_ref::LongDoubleNcRun ref =
+          testing_ref::nc_uniform_long_double(inst, alpha);
+      ASSERT_EQ(res.jobs, inst.size());
+      ASSERT_EQ(res.segments_dropped, 0u);
+      // A job far below the backlog's rounding (volumes) must still get a
+      // segment that does not end before it starts.
+      std::size_t backwards = 0;
+      for (const engine::RecordedSegment& r : eng.recorder().ring_snapshot()) {
+        backwards += r.seg.t1 < r.seg.t0 ? 1 : 0;
+      }
+      EXPECT_EQ(backwards, 0u);
+      const double e = rel_error(res.online.energy, ref.energy);
+      const double ff = rel_error(res.online.fractional_flow, ref.fractional_flow);
+      const double fi = rel_error(res.online.integral_flow, ref.integral_flow);
+      const double mk = rel_error(res.makespan, ref.makespan);
+      // Lemmas 3/4: E_NC = (1 - 1/alpha) F_NC, an identity of the run itself.
+      const double lemma = std::abs(res.online.energy -
+                                    (1.0 - 1.0 / alpha) * res.online.fractional_flow) /
+                           res.online.energy;
+      EXPECT_LE(e, kRelBound);
+      EXPECT_LE(ff, kRelBound);
+      EXPECT_LE(fi, kRelBound);
+      EXPECT_LE(mk, kRelBound);
+      EXPECT_LE(lemma, kRelBound);
+      std::printf("  long double ref %-7s alpha=%-4g energy %.2e  frac_flow %.2e  "
+                  "int_flow %.2e  makespan %.2e  lemma3_4 %.2e\n",
+                  kind.c_str(), alpha, e, ff, fi, mk, lemma);
+    }
+  }
 }
 
 TEST(StreamEngine, OnlineMatchesReplayedRingSchedule) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/core/kinematics.h"
 #include "src/numerics/ode.h"
@@ -129,6 +130,54 @@ TEST_P(KinematicsAlpha, PowFormsEqualPlainFormsBitForBit) {
       }
     }
   }
+}
+
+// The growth `_pow` forms take u0^b and u1^b from the caller.  The time form
+// is then the plain form's arithmetic exactly, but the integral forms
+// u^{1+b} as u * u^b where grow_integral calls pow(u, 1 + b): the two are
+// NOT bit for bit equal.  Both round the exponent (b, or 1 + b) once, which
+// moves u^{1+b} by up to |ln u| ulp, so the bound is stated in ulp of the
+// larger term u1^{1+b} / (rho (1+b)): 4 + 2 |ln u1|.
+TEST_P(KinematicsAlpha, GrowPowFormsMatchPlainFormsToUlpScale) {
+  const PowerLawKinematics kin(GetParam());
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (const double u0 : {0.0, 1e-300, 1e-17, 0.3, 1.0, 7.5, 1e6, 1e12}) {
+    const double u0b = kin.pow_b(u0);
+    for (const double w : {1e-9, 0.5, 1.0, 1e3, 1e9}) {
+      const double u1 = u0 + w;
+      const double u1b = kin.pow_b(u1);
+      for (const double rho : {0.25, 1.0, 8.0}) {
+        EXPECT_EQ(kin.grow_time_to_weight_pow(u0b, u1b, rho),
+                  kin.grow_time_to_weight(u0, u1, rho))
+            << u0 << " " << w << " " << rho;
+        const double scale = u1 * u1b / (rho * (1.0 + kin.b()));
+        const double ulps = 4.0 + 2.0 * std::abs(std::log(u1));
+        EXPECT_NEAR(kin.grow_integral_pow(u0, u0b, u1, u1b, rho), kin.grow_integral(u0, u1, rho),
+                    ulps * eps * scale)
+            << u0 << " " << w << " " << rho;
+      }
+    }
+  }
+}
+
+// The edges the streaming engine reaches: a segment from an idle virtual C
+// (u0 = 0, u0^b = 0) and an empty band (u1 = u0) give exact values.
+TEST_P(KinematicsAlpha, GrowPowFormsEdges) {
+  const PowerLawKinematics kin(GetParam());
+  const double rho = 1.5, u1 = 3.0, u1b = kin.pow_b(u1);
+  EXPECT_EQ(kin.grow_time_to_weight_pow(0.0, u1b, rho), u1b / (rho * kin.b()));
+  EXPECT_EQ(kin.grow_integral_pow(0.0, 0.0, u1, u1b, rho), u1 * u1b / (rho * (1.0 + kin.b())));
+  EXPECT_EQ(kin.grow_time_to_weight_pow(u1b, u1b, rho), 0.0);
+  EXPECT_EQ(kin.grow_integral_pow(u1, u1b, u1, u1b, rho), 0.0);
+  EXPECT_EQ(kin.grow_time_to_weight_pow(0.0, 0.0, rho), 0.0);
+  EXPECT_EQ(kin.grow_integral_pow(0.0, 0.0, 0.0, 0.0, rho), 0.0);
+  // The b-coordinate round trip the engine's tracker takes per job.
+  EXPECT_EQ(kin.weight_from_pow(0.0), 0.0);
+  EXPECT_EQ(kin.weight_from_pow(-1.0), 0.0);
+  EXPECT_NEAR(kin.weight_from_pow(u1b), u1, 1e-13 * u1);
+  EXPECT_EQ(kin.decay_pow_after(u1b, rho, 0.0), u1b);
+  EXPECT_EQ(kin.decay_pow_after(u1b, rho, 1e9), 0.0);
+  EXPECT_EQ(kin.decay_pow_after(0.0, rho, 1.0), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AlphaGrid, KinematicsAlpha,
