@@ -2,12 +2,10 @@
 
 #include <algorithm>
 
-#include "src/core/kinematics.h"
 #include "src/core/power.h"
-#include "src/engine/online_metrics.h"
+#include "src/engine/job_source.h"
+#include "src/engine/stream_engine.h"
 #include "src/obs/metrics_registry.h"
-#include "src/obs/trace.h"
-#include "src/sim/c_machine.h"
 
 namespace speedscale {
 
@@ -15,99 +13,34 @@ NCUniformRun run_nc_uniform_detailed(const Instance& instance, double alpha) {
   if (!instance.uniform_density(1e-9)) {
     throw ModelError("run_nc_uniform: instance must have uniform density");
   }
-  NCUniformRun out(alpha);
-  out.offsets.assign(instance.size(), 0.0);
-  out.starts.assign(instance.size(), 0.0);
-  if (instance.empty()) {
-    out.result.online = Metrics{};
-    return out;
-  }
-
-  // Virtual clairvoyant run.  W^C(r[j]^-) only depends on jobs released
-  // strictly before r[j], so running C on the full instance and taking left
-  // limits is equivalent to the prefix simulation the paper describes — and
-  // is causally available to NC, because FIFO order means every job released
-  // before r[j] has been completed (volume revealed) before NC starts j.
-  // It is a *virtual* run: its events do not belong in an NC trace.
-  {
-    obs::TraceSuppressGuard suppress_virtual_run;
-    out.c_schedule = run_algorithm_c(instance, alpha);
-  }
   OBS_COUNT("algo.nc_uniform.runs", 1);
 
-  const PowerLawKinematics kin(alpha);
-  Schedule& sched = out.result.schedule;
-  double t = 0.0;
-  const std::vector<JobId> fifo = instance.fifo_order();
+  // The streaming engine on one machine is Algorithm NC: its virtual-C
+  // tracker gives the offsets W^C(r_j^-) (tied cohorts included), and its
+  // closed forms give the segments, the online metrics and the trace events.
+  // A ring of n segments holds the whole run, so nothing is dropped.
+  engine::StreamOptions options;
+  options.alpha = alpha;
+  options.recorder.ring_capacity = std::max<std::size_t>(1, instance.size());
+  engine::StreamEngine eng(options);
+  engine::InstanceJobSource source(instance);
+  const engine::StreamResult streamed = eng.run(source);
 
-  // Online objective accumulation, all closed-form: cumulative energy and
-  // cumulative fractional flow *attributed to completed jobs* (a waiting
-  // job's accrual is folded in at its own completion; see
-  // docs/observability.md).  Always on — it feeds RunResult::online, the
-  // streaming-metrics contract — and shared with the trace events, whose
-  // emission stays tracing-gated.  Release events interleave in time order
-  // via `next_rel`.
-  const bool tracing = obs::tracing_enabled();
-  engine::OnlineMetrics om;
-  std::size_t next_rel = 0;
-  const auto emit_releases_up_to = [&](double tau) {
-    while (next_rel < fifo.size() && instance.job(fifo[next_rel]).release <= tau) {
-      const Job& j = instance.job(fifo[next_rel]);
-      TRACE_EVENT(.kind = obs::EventKind::kJobRelease, .t = j.release, .job = j.id,
-                  .value = j.volume, .aux = j.density);
-      ++next_rel;
-    }
-  };
-
-  for (std::size_t pos = 0; pos < fifo.size(); ++pos) {
-    const JobId jid = fifo[pos];
-    const Job& job = instance.job(jid);
-    // The paper assumes distinct release times.  Ties are handled as the
-    // limit of infinitesimally-separated releases: the left limit excludes
-    // the whole cohort released at r[j], so the weights of tied jobs that
-    // precede j in FIFO order are added back (C would have processed none of
-    // them in zero time).
-    double offset = c_remaining_weight_left(out.c_schedule, job.release);
-    for (std::size_t q = pos; q-- > 0;) {
-      const Job& prev = instance.job(fifo[q]);
-      if (prev.release != job.release) break;
-      offset += prev.weight();
-    }
-    out.offsets[static_cast<std::size_t>(jid)] = offset;
-    const double t_start = std::max(t, job.release);
-    out.starts[static_cast<std::size_t>(jid)] = t_start;
-    // One contiguous growth segment: U goes from the offset to offset + W[j].
-    // (FIFO + work conservation: nothing preempts a started job.)
-    const double u0 = offset;
-    const double u1 = offset + job.weight();
-    const double dt = kin.grow_time_to_weight(u0, u1, job.density);
-    sched.append({t_start, t_start + dt, jid, SpeedLaw::kPowerGrow, u0, job.density});
-    t = t_start + dt;
-    sched.set_completion(jid, t);
-
-    // Per-job closed forms: the energy of the growth segment is the C
-    // energy of the weight band it sweeps (Lemma 3, per job), and the
-    // job's whole-lifetime fractional flow is
-    //   W_j (t_start - r_j) + u1 * dt - E_j  ==  E_j / (1 - 1/alpha)
-    // (Lemma 4, per job) — the invariant tests replay exactly this.
-    const double e_j = kin.grow_integral(u0, u1, job.density);
-    om.add_energy(e_j);
-    om.add_fractional_flow(job.weight() * (t_start - job.release) + u1 * dt - e_j);
-    om.add_integral_flow(job.weight() * (t - job.release));
-    if (tracing) {
-      emit_releases_up_to(t_start);
-      TRACE_EVENT(.kind = obs::EventKind::kSpeedChange, .t = t_start, .job = jid,
-                  .value = kin.speed_at_weight(std::max(u0, 0.0)), .aux = u0);
-      emit_releases_up_to(t);
-      TRACE_EVENT(.kind = obs::EventKind::kJobComplete, .t = t, .job = jid,
-                  .value = om.energy(), .aux = om.fractional_flow());
-    }
+  NCUniformRun out(alpha);
+  out.result.schedule = eng.recorder().to_schedule();
+  out.offsets.assign(instance.size(), 0.0);
+  out.starts.assign(instance.size(), 0.0);
+  // Each job is one growth segment from U = offset (zero-length ones too,
+  // which the Schedule drops).
+  for (const engine::RecordedSegment& rec : eng.recorder().segments()) {
+    out.offsets[static_cast<std::size_t>(rec.seg.job)] = rec.seg.param;
+    out.starts[static_cast<std::size_t>(rec.seg.job)] = rec.seg.t0;
   }
-  if (tracing) emit_releases_up_to(kInf);
 
-  const PowerLaw power(alpha);
-  out.result.metrics = compute_metrics(instance, sched, power);
-  out.result.online = om.metrics();
+  // The replay is the independent oracle the Lemma 3/4 checks compare the
+  // online accumulators against.
+  out.result.metrics = compute_metrics(instance, out.result.schedule, PowerLaw(alpha));
+  out.result.online = streamed.online;
   return out;
 }
 

@@ -12,6 +12,11 @@
 //     processed so far.  The machine's power thus sweeps the clairvoyant
 //     power curve in reverse (Figure 1b).
 //
+// The run is engine::StreamEngine on one machine, fed by an
+// InstanceJobSource: the virtual C run is the engine's O(1) W^b tracker
+// (with uniform density C's remaining weight decays independently of which
+// job C picks), and a ring of n segments records the whole schedule.
+//
 // Guarantees (verified exactly by the tests):
 //   Lemma 3:   energy(NC) == energy(C)
 //   Lemma 4:   flow(NC)   == flow(C) / (1 - 1/alpha)
@@ -30,11 +35,10 @@ namespace speedscale {
 /// Detailed NC run: result plus the quantities the analysis talks about.
 struct NCUniformRun {
   RunResult result;
-  Schedule c_schedule;          ///< the virtual Algorithm C run used for offsets
   std::vector<double> offsets;  ///< W^C(r[j]^-) per job id
   std::vector<double> starts;   ///< time NC begins processing each job
 
-  explicit NCUniformRun(double alpha) : result(alpha), c_schedule(alpha) {}
+  explicit NCUniformRun(double alpha) : result(alpha) {}
 };
 
 /// Runs Algorithm NC on a uniform-density instance with P(s) = s^alpha.

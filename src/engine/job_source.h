@@ -16,8 +16,8 @@
 //                        analogue of workload::generate for benchmarks that
 //                        outgrow any in-memory instance.
 //   InstanceJobSource  — adapts an in-memory Instance (FIFO order); the
-//                        equivalence bridge the tests use to compare the
-//                        streaming engine against run_nc_uniform.
+//                        batch path's source (run_nc_uniform_detailed is
+//                        this source + a one-machine StreamEngine).
 #pragma once
 
 #include <cstdint>

@@ -113,16 +113,22 @@ std::vector<RecordedSegment> SegmentRecorder::ring_snapshot() const {
   return out;
 }
 
-Schedule SegmentRecorder::to_schedule() const {
+const std::vector<RecordedSegment>& SegmentRecorder::segments() const {
   if (options_.mode == RecordMode::kOff) {
-    throw ModelError("SegmentRecorder::to_schedule: recording is off");
+    throw ModelError("SegmentRecorder: recording is off");
   }
   if (dropped_ > 0) {
-    throw ModelError("SegmentRecorder::to_schedule: " + std::to_string(dropped_) +
+    throw ModelError("SegmentRecorder: " + std::to_string(dropped_) +
                      " segments were dropped by the ring; use the spill file");
   }
+  return ring_;
+}
+
+Schedule SegmentRecorder::to_schedule() const {
+  const std::vector<RecordedSegment>& recs = segments();
   Schedule sched(alpha_);
-  for (const RecordedSegment& rec : ring_snapshot()) {
+  sched.reserve(recs.size());
+  for (const RecordedSegment& rec : recs) {
     if (rec.machine != 0) {
       throw ModelError("SegmentRecorder::to_schedule: multi-machine recording; "
                        "rebuild per machine from the spill instead");

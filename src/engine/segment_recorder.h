@@ -80,9 +80,13 @@ class SegmentRecorder {
   /// The ring's contents, oldest first.
   [[nodiscard]] std::vector<RecordedSegment> ring_snapshot() const;
 
-  /// Rebuilds a single-machine Schedule from the ring.  Throws ModelError if
-  /// segments were dropped (the ring is not the whole run) or if more than
-  /// one machine was recorded.
+  /// Every segment of the run, oldest first, without a copy: with nothing
+  /// dropped the ring never wrapped.  Throws ModelError if recording is off
+  /// or segments were dropped (the ring is not the whole run).
+  [[nodiscard]] const std::vector<RecordedSegment>& segments() const;
+
+  /// Rebuilds a single-machine Schedule from segments().  Throws ModelError
+  /// as segments() does, or if more than one machine was recorded.
   [[nodiscard]] Schedule to_schedule() const;
 
  private:

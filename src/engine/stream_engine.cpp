@@ -87,10 +87,9 @@ StreamResult StreamEngine::run(JobSource& source) {
       const double w = arena.weight(p.slot);
       const double u0 = p.offset;
       const double u1 = p.offset + w;
-      // Per-job closed forms (Lemmas 3/4, as in run_nc_uniform_detailed):
-      // segment energy is the C energy of the swept weight band, and the
-      // job's whole-lifetime fractional flow folds its waiting time in at
-      // completion.
+      // Per-job closed forms (Lemmas 3/4): segment energy is the C energy of
+      // the swept weight band, and the job's whole-lifetime fractional flow
+      // folds its waiting time in at completion.
       const double e_j = kin.grow_integral_pow(u0, p.u0b, u1, p.u1b, rho);
       om.add_energy(e_j);
       om.add_fractional_flow(w * (p.start - release) + u1 * p.dt - e_j);

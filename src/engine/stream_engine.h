@@ -17,14 +17,16 @@
 //     segment time and energy follow from u0^b and u1^b with no further
 //     pow, so a job costs at most two (the engine.stream.pow_calls counter).
 //     Tied releases fall out sequentially: the second job of a cohort sees
-//     left-limit + w_1, run_nc_uniform's add-back rule;
+//     left-limit + w_1, the limit of infinitesimally separated releases (the
+//     paper assumes distinct ones);
 //   * OnlineMetrics accumulators (Kahan) — no post-hoc replay;
 //   * a SegmentRecorder (ring / ring+spill / off) instead of a Schedule.
 //
 // Each job is one closed-form kPowerGrow segment (FIFO, work-conserving), so
 // per job the engine does O(1) work and the only unbounded state is the
-// backlog itself.  `engine.stream/10M` (BENCH.json) pins the 10M-job
-// run with the RSS plateau asserted by bench/bench_engine_stream.cpp.
+// backlog itself.  On one machine with a ring of n segments it is also the
+// batch run_nc_uniform_detailed.  `engine.stream/10M` (BENCH.json) pins the
+// 10M-job run with the RSS plateau asserted by bench/bench_engine_stream.cpp.
 //
 // Multi-machine mode dispatches arrivals across k machines with the
 // observable-information policies of algo/dispatch.h (round robin / least

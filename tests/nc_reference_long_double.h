@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/core/instance.h"
 
@@ -22,6 +23,7 @@ struct LongDoubleNcRun {
   long double fractional_flow = 0.0L;
   long double integral_flow = 0.0L;
   long double makespan = 0.0L;
+  std::vector<long double> offsets;  ///< u0 = W^C(r_j^-) (+ tied cohort) per job id
 };
 
 /// Runs `inst` (one density) in FIFO order on one machine under P = s^alpha.
@@ -29,6 +31,7 @@ inline LongDoubleNcRun nc_uniform_long_double(const Instance& inst, double alpha
   using LD = long double;
   const LD b = 1.0L - 1.0L / static_cast<LD>(alpha);
   LongDoubleNcRun run;
+  run.offsets.assign(inst.size(), 0.0L);
   LD c_weight = 0.0L;  // virtual C's remaining weight at c_time
   LD c_time = 0.0L;
   LD frontier = 0.0L;
@@ -43,6 +46,7 @@ inline LongDoubleNcRun nc_uniform_long_double(const Instance& inst, double alpha
     const LD u1 = u0 + w;
     c_weight = u1;
     c_time = release;
+    run.offsets[static_cast<std::size_t>(id)] = u0;
 
     const LD start = std::max(frontier, release);
     const LD dt = (std::pow(u1, b) - std::pow(u0, b)) / (rho * b);

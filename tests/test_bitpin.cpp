@@ -122,7 +122,6 @@ std::string run_line(const std::string& algo, const Case& c, double alpha) {
   } else if (algo == "nc") {
     const NCUniformRun r = run_nc_uniform_detailed(c.instance, alpha);
     hash_schedule(tape, r.result.schedule, c.instance);
-    hash_schedule(tape, r.c_schedule, c.instance);
     for (double x : r.offsets) tape.real(x);
     for (double x : r.starts) tape.real(x);
     text = metrics_text("metrics", r.result.metrics) + metrics_text("online", *r.result.online);

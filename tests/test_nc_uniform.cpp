@@ -61,14 +61,41 @@ TEST(NCUniform, FifoProcessingOrder) {
 }
 
 TEST(NCUniform, OffsetsMatchVirtualCRuns) {
-  const Instance inst = uniform_instance(10, 4);
-  const NCUniformRun run = run_nc_uniform_detailed(inst, 2.5);
-  for (const Job& j : inst.jobs()) {
-    // The offset must equal the clairvoyant remaining weight just before the
-    // job's release (distinct releases here).
-    const double w = c_remaining_weight_left(run.c_schedule, j.release);
-    EXPECT_NEAR(run.offsets[static_cast<std::size_t>(j.id)], w, 1e-9);
+  // The offset must equal the clairvoyant remaining weight just before the
+  // job's release, plus, for a tied release, the weights of the tied jobs
+  // ahead of it in FIFO order (ties are the limit of infinitesimally
+  // separated releases).
+  const Instance distinct = uniform_instance(10, 4);
+  const Instance tied({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.0, 2.0, 1.0},
+                       Job{kNoJob, 0.0, 0.5, 1.0}, Job{kNoJob, 1.0, 1.0, 1.0},
+                       Job{kNoJob, 1.0, 0.25, 1.0}});
+  for (const Instance* inst : {&distinct, &tied}) {
+    const double alpha = 2.5;
+    const NCUniformRun run = run_nc_uniform_detailed(*inst, alpha);
+    const Schedule c = run_algorithm_c(*inst, alpha);
+    for (const Job& j : inst->jobs()) {
+      double w = c_remaining_weight_left(c, j.release);
+      for (const Job& k : inst->jobs()) {
+        if (k.release == j.release && k.id < j.id) w += k.weight();
+      }
+      EXPECT_NEAR(run.offsets[static_cast<std::size_t>(j.id)], w, 1e-9) << "job " << j.id;
+    }
   }
+}
+
+TEST(NCUniform, EmptyInstanceRunsNothing) {
+  const Instance empty(std::vector<Job>{});
+  const NCUniformRun run = run_nc_uniform_detailed(empty, 2.0);
+  EXPECT_TRUE(run.result.schedule.segments().empty());
+  EXPECT_EQ(run.result.metrics.energy, 0.0);
+  EXPECT_EQ(run.result.metrics.fractional_flow, 0.0);
+  EXPECT_EQ(run.result.metrics.integral_flow, 0.0);
+  ASSERT_TRUE(run.result.online.has_value());
+  EXPECT_EQ(run.result.online->energy, 0.0);
+  EXPECT_EQ(run.result.online->fractional_flow, 0.0);
+  EXPECT_EQ(run.result.online->integral_flow, 0.0);
+  EXPECT_TRUE(run.offsets.empty());
+  EXPECT_TRUE(run.starts.empty());
 }
 
 // --- The paper's exact identities, swept over alpha x seeds -------------
