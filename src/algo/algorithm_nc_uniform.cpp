@@ -31,10 +31,15 @@ NCUniformRun run_nc_uniform_detailed(const Instance& instance, double alpha) {
   out.offsets.assign(instance.size(), 0.0);
   out.starts.assign(instance.size(), 0.0);
   // Each job is one growth segment from U = offset (zero-length ones too,
-  // which the Schedule drops).
+  // which the Schedule drops), recorded in FIFO order.  A job starts at its
+  // release or its predecessor's end, as in the engine; its segment starts
+  // later only while U is below the smallest normal double.
+  double frontier = 0.0;
   for (const engine::RecordedSegment& rec : eng.recorder().segments()) {
-    out.offsets[static_cast<std::size_t>(rec.seg.job)] = rec.seg.param;
-    out.starts[static_cast<std::size_t>(rec.seg.job)] = rec.seg.t0;
+    const auto j = static_cast<std::size_t>(rec.seg.job);
+    out.offsets[j] = rec.seg.param;
+    out.starts[j] = std::max(frontier, instance.job(rec.seg.job).release);
+    frontier = rec.seg.t1;
   }
 
   // The replay is the independent oracle the Lemma 3/4 checks compare the

@@ -35,7 +35,9 @@ namespace speedscale {
 /// Detailed NC run: result plus the quantities the analysis talks about.
 struct NCUniformRun {
   RunResult result;
-  std::vector<double> offsets;  ///< W^C(r[j]^-) per job id
+  /// W^C(r[j]^-) per job id, read from the job's segment, so an offset below
+  /// the smallest normal double reads as about that double.
+  std::vector<double> offsets;
   std::vector<double> starts;   ///< time NC begins processing each job
 
   explicit NCUniformRun(double alpha) : result(alpha) {}

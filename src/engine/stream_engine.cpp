@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -95,7 +96,20 @@ StreamResult StreamEngine::run(JobSource& source) {
       om.add_fractional_flow(w * (p.start - release) + u1 * p.dt - e_j);
       om.add_integral_flow(w * (t_end - release));
 
-      recorder_->push({p.start, t_end, jid, SpeedLaw::kPowerGrow, u0, rho},
+      // A segment carries u0, not u0^b, and below the smallest normal double
+      // u0 loses u0^b (at alpha = 1.01, u0 = (W^b)^101 is 0 or subnormal
+      // while u0^b is up to ~1e-3), so a replay would grow the job short of
+      // w.  U^{1/alpha} is zero in double there: the recorded segment starts
+      // where U^b reaches DBL_MIN^b, and its u0 and duration agree.
+      double seg_t0 = p.start;
+      double seg_u0 = u0;
+      if (u0 < std::numeric_limits<double>::min() && p.u0b > 0.0) {
+        const double lo_b = std::min(kin.pow_b(std::numeric_limits<double>::min()), p.u1b);
+        seg_t0 = p.start + kin.grow_time_to_weight_pow(p.u0b, lo_b, rho);  // <= t_end
+        seg_u0 = kin.weight_from_pow(lo_b);
+        pow_calls += 2;
+      }
+      recorder_->push({seg_t0, t_end, jid, SpeedLaw::kPowerGrow, seg_u0, rho},
                       static_cast<int>(mi), /*completes=*/true);
       TRACE_EVENT(.kind = obs::EventKind::kSpeedChange, .t = p.start, .job = jid,
                   .machine = static_cast<int>(mi),

@@ -22,7 +22,9 @@
 //   * OnlineMetrics accumulators (Kahan) — no post-hoc replay;
 //   * a SegmentRecorder (ring / ring+spill / off) instead of a Schedule.
 //
-// Each job is one closed-form kPowerGrow segment (FIFO, work-conserving), so
+// Each job is one closed-form kPowerGrow segment (FIFO, work-conserving; a
+// segment whose u0 is below the smallest normal double starts where U does,
+// since before that its speed is zero in double), so
 // per job the engine does O(1) work and the only unbounded state is the
 // backlog itself.  On one machine with a ring of n segments it is also the
 // batch run_nc_uniform_detailed.  `engine.stream/10M` (BENCH.json) pins the

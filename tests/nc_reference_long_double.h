@@ -24,6 +24,7 @@ struct LongDoubleNcRun {
   long double integral_flow = 0.0L;
   long double makespan = 0.0L;
   std::vector<long double> offsets;  ///< u0 = W^C(r_j^-) (+ tied cohort) per job id
+  std::vector<long double> starts;   ///< time NC begins each job, per job id
 };
 
 /// Runs `inst` (one density) in FIFO order on one machine under P = s^alpha.
@@ -32,6 +33,7 @@ inline LongDoubleNcRun nc_uniform_long_double(const Instance& inst, double alpha
   const LD b = 1.0L - 1.0L / static_cast<LD>(alpha);
   LongDoubleNcRun run;
   run.offsets.assign(inst.size(), 0.0L);
+  run.starts.assign(inst.size(), 0.0L);
   LD c_weight = 0.0L;  // virtual C's remaining weight at c_time
   LD c_time = 0.0L;
   LD frontier = 0.0L;
@@ -49,6 +51,7 @@ inline LongDoubleNcRun nc_uniform_long_double(const Instance& inst, double alpha
     run.offsets[static_cast<std::size_t>(id)] = u0;
 
     const LD start = std::max(frontier, release);
+    run.starts[static_cast<std::size_t>(id)] = start;
     const LD dt = (std::pow(u1, b) - std::pow(u0, b)) / (rho * b);
     const LD energy = (std::pow(u1, 1.0L + b) - std::pow(u0, 1.0L + b)) / (rho * (1.0L + b));
     frontier = start + dt;

@@ -312,14 +312,18 @@ TEST(StreamEngine, MatchesLongDoubleReferenceOnEdgeGrid) {
 
 TEST(NCUniformBatch, MatchesLongDoubleReferenceOnEdgeGrid) {
   // The batch path is the engine plus a ring of n segments, so it meets the
-  // engine's bound on its online metrics and makespan, and on every offset
-  // relative to the top of the job's weight band (u0 + w_j): an offset that
-  // underflows to 0 near a drained C is off by ~1 relative to itself but
-  // not to the band the job sweeps.  The replayed result.metrics are not
-  // gated here: on the long horizon the replay drifts at alpha = 1.5, and
-  // at alpha = 1.01 it grows the few jobs whose u0 underflowed from 0
-  // (EXPERIMENTS.md E33).
+  // engine's bound on its online metrics, makespan and starts, and on every
+  // offset relative to the top of the job's weight band (u0 + w_j): an
+  // offset that underflows near a drained C is off by ~1 relative to itself
+  // but not to the band the job sweeps.  The replay of its schedule meets
+  // the same bound on energy and integral flow.  Its fractional flow drifts
+  // on the long horizon (2.9e-6 at alpha = 1.01, 1.1e-6 at 1.5: the replay's
+  // own rounding, see compute_metrics in CHANGES.md), so there it is held
+  // to kReplayHorizonBound; a segment whose u0 lost u0^b (grown from 0 over
+  // the exact u0^b's time) leaves weight unprocessed and reads 0.31 at
+  // alpha = 1.01.
   constexpr double kRelBound = 1e-10;
+  constexpr double kReplayHorizonBound = 4e-6;
   for (const std::string kind : {"ties", "volumes", "horizon"}) {
     const Instance inst = edge_instance(kind);
     for (const double alpha : {1.01, 1.5, 3.0, 8.0}) {
@@ -329,24 +333,36 @@ TEST(NCUniformBatch, MatchesLongDoubleReferenceOnEdgeGrid) {
           testing_ref::nc_uniform_long_double(inst, alpha);
       ASSERT_TRUE(run.result.online.has_value());
       const Metrics& on = *run.result.online;
+      const Metrics& rep = run.result.metrics;
       const double e = rel_error(on.energy, ref.energy);
       const double ff = rel_error(on.fractional_flow, ref.fractional_flow);
       const double fi = rel_error(on.integral_flow, ref.integral_flow);
       const double mk = rel_error(run.result.schedule.makespan(), ref.makespan);
+      const double re = rel_error(rep.energy, ref.energy);
+      const double rff = rel_error(rep.fractional_flow, ref.fractional_flow);
+      const double rfi = rel_error(rep.integral_flow, ref.integral_flow);
       double off = 0.0;
+      double st = 0.0;
       for (const Job& j : inst.jobs()) {
-        const long double u0 = ref.offsets[static_cast<std::size_t>(j.id)];
-        const long double got = run.offsets[static_cast<std::size_t>(j.id)];
-        off = std::max(off, static_cast<double>(std::fabs(got - u0) / (u0 + j.weight())));
+        const auto i = static_cast<std::size_t>(j.id);
+        const long double u0 = ref.offsets[i];
+        off = std::max(off, static_cast<double>(std::fabs(run.offsets[i] - u0) /
+                                                (u0 + j.weight())));
+        st = std::max(st, rel_error(run.starts[i], ref.starts[i]));
       }
       EXPECT_LE(e, kRelBound);
       EXPECT_LE(ff, kRelBound);
       EXPECT_LE(fi, kRelBound);
       EXPECT_LE(mk, kRelBound);
       EXPECT_LE(off, kRelBound);
+      EXPECT_LE(st, kRelBound);
+      EXPECT_LE(re, kRelBound);
+      EXPECT_LE(rfi, kRelBound);
+      EXPECT_LE(rff, kind == "horizon" ? kReplayHorizonBound : kRelBound);
       std::printf("  long double ref (batch) %-7s alpha=%-4g energy %.2e  frac_flow %.2e  "
-                  "int_flow %.2e  makespan %.2e  offsets %.2e\n",
-                  kind.c_str(), alpha, e, ff, fi, mk, off);
+                  "int_flow %.2e  makespan %.2e  offsets %.2e  starts %.2e  | replay "
+                  "energy %.2e  frac_flow %.2e  int_flow %.2e\n",
+                  kind.c_str(), alpha, e, ff, fi, mk, off, st, re, rff, rfi);
     }
   }
 }
