@@ -1,9 +1,11 @@
 // Bit-pin of the exact batch path: run_c, run_nc_uniform_detailed, run_c_par
-// and run_nc_par on seeded 4096-job instances.  Each run is reduced to one
-// line of tests/golden/bitpin_golden.txt: an FNV-1a hash over the bit
-// patterns of its segment tape (t0, t1, job, law, param, rho) and completion
-// times, its metrics (and online accumulators) as hex floats, and for the
-// parallel runs a hash of the job-to-machine assignment.  A refactor of the
+// and run_nc_par on seeded 4096-job instances, and run_nc_nonuniform on
+// seeded 32-job density-class instances.  Each run is reduced to one line of
+// tests/golden/bitpin_golden.txt: an FNV-1a hash over the bit patterns of its
+// segment tape (t0, t1, job, law, param, rho) and completion times, its
+// metrics (and online accumulators) as hex floats, for the parallel runs a
+// hash of the job-to-machine assignment, and for non-uniform NC its
+// integrator step and C-evaluation counts.  A refactor of the
 // C kernel or the replay must leave every line unchanged: the gate is bit
 // identity, not a tolerance.
 //
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "src/algo/algorithm_c.h"
+#include "src/algo/algorithm_nc_nonuniform.h"
 #include "src/algo/algorithm_nc_uniform.h"
 #include "src/algo/parallel.h"
 #include "src/workload/generators.h"
@@ -106,6 +109,20 @@ std::vector<Case> cases() {
   return out;
 }
 
+/// Non-uniform NC integrates with two C replays per step, so it is pinned on
+/// 32-job instances.
+std::vector<Case> nonuniform_cases() {
+  std::vector<Case> out;
+  for (std::uint64_t seed : {23ULL, 4242ULL}) {
+    workload::WorkloadParams p;
+    p.n_jobs = 32;
+    p.seed = seed;
+    p.density_mode = workload::DensityMode::kClasses;
+    out.push_back({"classes32-s" + std::to_string(seed), workload::generate(p), false});
+  }
+  return out;
+}
+
 std::string key(const std::string& algo, const Case& c, double alpha) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "%g", alpha);
@@ -125,6 +142,12 @@ std::string run_line(const std::string& algo, const Case& c, double alpha) {
     for (double x : r.offsets) tape.real(x);
     for (double x : r.starts) tape.real(x);
     text = metrics_text("metrics", r.result.metrics) + metrics_text("online", *r.result.online);
+  } else if (algo == "nc_nonuniform") {
+    const NCNonUniformRun r = run_nc_nonuniform(c.instance, alpha);
+    hash_schedule(tape, r.result.schedule, c.instance);
+    text = " steps=" + std::to_string(r.steps) + " c_evaluations=" +
+           std::to_string(r.c_evaluations) + metrics_text("metrics", r.result.metrics) +
+           metrics_text("online", *r.result.online);
   } else {
     const ParallelRun r = algo == "cpar" ? run_c_par(c.instance, alpha, kMachines)
                                          : run_nc_par(c.instance, alpha, kMachines);
@@ -154,7 +177,7 @@ void check(const std::string& algo) {
   ASSERT_FALSE(want.empty()) << "tests/golden/bitpin_golden.txt is missing or empty";
   std::string all;
   int checked = 0;
-  for (const Case& c : cases()) {
+  for (const Case& c : algo == "nc_nonuniform" ? nonuniform_cases() : cases()) {
     const bool uniform_only = algo == "nc" || algo == "ncpar";
     if (uniform_only && !c.uniform) continue;
     for (double alpha : kAlphas) {
@@ -173,6 +196,7 @@ TEST(BitPin, AlgorithmC) { check("c"); }
 TEST(BitPin, AlgorithmNCUniform) { check("nc"); }
 TEST(BitPin, CPar) { check("cpar"); }
 TEST(BitPin, NCPar) { check("ncpar"); }
+TEST(BitPin, NCNonUniform) { check("nc_nonuniform"); }
 
 }  // namespace
 }  // namespace speedscale
