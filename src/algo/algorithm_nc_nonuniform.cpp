@@ -1,6 +1,7 @@
 #include "src/algo/algorithm_nc_nonuniform.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/core/kinematics.h"
@@ -41,99 +42,176 @@ double c_speed_on_current_instance(const Instance& rounded, const std::vector<do
   return kin.speed_at_weight(m.remaining_weight());
 }
 
-CurrentInstanceOracle::CurrentInstanceOracle(const Instance& rounded, double alpha)
-    : rounded_(rounded), kin_(alpha) {
-  const std::size_t n = rounded.size();
-  by_release_ = rounded.fifo_order();
-  std::vector<JobId> pri(n);
-  for (std::size_t i = 0; i < n; ++i) pri[i] = static_cast<JobId>(i);
-  std::sort(pri.begin(), pri.end(), [&](JobId a, JobId b) {
+namespace {
+
+/// Jobs in NC's processing order on the rounded instance, which is also the
+/// order C's replay picks in: highest density first, then release, then id.
+std::vector<JobId> priority_order(const Instance& rounded) {
+  std::vector<JobId> order(rounded.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<JobId>(i);
+  std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
     const Job& ja = rounded.job(a);
     const Job& jb = rounded.job(b);
     if (ja.density != jb.density) return ja.density > jb.density;
     if (ja.release != jb.release) return ja.release < jb.release;
     return a < b;
   });
-  priority_rank_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) priority_rank_[static_cast<std::size_t>(pri[i])] = static_cast<int>(i);
-  rem_.assign(n, 0.0);
-  released_.assign(n, false);
+  return order;
 }
 
+std::vector<int> ranks_of(const std::vector<JobId>& by_rank) {
+  std::vector<int> rank(by_rank.size());
+  for (std::size_t r = 0; r < by_rank.size(); ++r) {
+    rank[static_cast<std::size_t>(by_rank[r])] = static_cast<int>(r);
+  }
+  return rank;
+}
+
+// A set of priority ranks, one bit per rank: its lowest member is the job
+// the priority rule runs, found without scanning the jobs.
+std::vector<std::uint64_t> empty_rank_set(std::size_t n) {
+  return std::vector<std::uint64_t>((n + 63) / 64, 0);
+}
+void insert_rank(std::vector<std::uint64_t>& set, int r) {
+  set[static_cast<std::size_t>(r) / 64] |= std::uint64_t{1} << (r % 64);
+}
+void erase_rank(std::vector<std::uint64_t>& set, int r) {
+  set[static_cast<std::size_t>(r) / 64] &= ~(std::uint64_t{1} << (r % 64));
+}
+/// The lowest rank in the set, or -1 when it is empty.
+int first_rank(const std::vector<std::uint64_t>& set) {
+  for (std::size_t w = 0; w < set.size(); ++w) {
+    if (set[w] != 0) return static_cast<int>(w * 64) + std::countr_zero(set[w]);
+  }
+  return -1;
+}
+template <typename F>
+void for_each_rank(const std::vector<std::uint64_t>& set, F&& f) {
+  for (std::size_t w = 0; w < set.size(); ++w) {
+    for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<int>(w * 64) + std::countr_zero(bits));
+    }
+  }
+}
+
+}  // namespace
+
+CurrentInstanceOracle::CurrentInstanceOracle(const Instance& rounded, double alpha)
+    : rounded_(rounded),
+      kin_(alpha),
+      by_release_(rounded.fifo_order()),
+      by_rank_(priority_order(rounded)),
+      rank_(ranks_of(by_rank_)),
+      rem_(rounded.size(), 0.0),
+      live_(empty_rank_set(rounded.size())),
+      ckpt_rem_(rounded.size(), 0.0),
+      ckpt_live_(live_) {}
+
 double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t) {
+  return c_speed(processed, t, kNoJob, 0.0);
+}
+
+double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t,
+                                      JobId anchor, double anchor_processed) {
   // Replay Algorithm C on I(t): jobs released at or before t whose processed
-  // weight is positive, with volume = processed weight / rounded density...
-  // (volumes in I(t) are the processed volumes; weights are rho * volume).
+  // weight is positive, with volume = processed volume at rounded density.
   const std::size_t n = rounded_.size();
-  std::fill(released_.begin(), released_.end(), false);
+  const auto volume = [&](JobId id) {
+    return id == anchor ? anchor_processed : processed[static_cast<std::size_t>(id)];
+  };
+  if (anchor != kNoJob && anchor != ckpt_anchor_) {
+    ckpt_anchor_ = anchor;
+    ckpt_valid_ = false;
+  }
+  // Only while the anchor is part of I(t) does the replay stop at its release.
+  const bool anchored =
+      anchor != kNoJob && anchor_processed > 0.0 && rounded_.job(anchor).release <= t;
+  const double r_anchor = anchored ? rounded_.job(anchor).release : kInf;
+  bool capture = anchored && !ckpt_valid_;
+
   double W = 0.0;
   double tcur = 0.0;
+  std::size_t ptr = 0;  // pointer over releases, filtered to jobs in I(t)
+  if (anchored && ckpt_valid_) {
+    W = ckpt_W_;
+    tcur = ckpt_t_;
+    ptr = ckpt_ptr_;
+    live_ = ckpt_live_;
+    for_each_rank(live_, [&](int r) {
+      const auto idx = static_cast<std::size_t>(by_rank_[static_cast<std::size_t>(r)]);
+      rem_[idx] = ckpt_rem_[idx];
+    });
+  } else {
+    std::fill(live_.begin(), live_.end(), 0);
+  }
 
-  // Pointer over releases, filtered to jobs that exist in I(t).
-  std::size_t ptr = 0;
   const auto next_relevant = [&]() -> std::size_t {
     while (ptr < n) {
       const Job& j = rounded_.job(by_release_[ptr]);
       if (j.release > t) return n;  // later jobs are not part of I(t)
-      if (processed[static_cast<std::size_t>(j.id)] > 0.0) return ptr;
+      if (volume(j.id) > 0.0) return ptr;
       ++ptr;
     }
     return n;
   };
-  const auto release_due = [&]() {
+  // Called each time tcur moves: checkpoints the state the first time the
+  // replay reaches the anchor's release, then adds the jobs released by tcur.
+  const auto arrive = [&]() {
+    if (capture && tcur >= r_anchor) {
+      capture = false;
+      ckpt_valid_ = true;
+      ckpt_W_ = W;
+      ckpt_t_ = tcur;
+      ckpt_ptr_ = ptr;
+      ckpt_live_ = live_;
+      for_each_rank(live_, [&](int r) {
+        const auto idx = static_cast<std::size_t>(by_rank_[static_cast<std::size_t>(r)]);
+        ckpt_rem_[idx] = rem_[idx];
+      });
+    }
     for (std::size_t p = next_relevant(); p < n; p = next_relevant()) {
       const Job& j = rounded_.job(by_release_[p]);
       if (j.release > tcur) break;
       const auto idx = static_cast<std::size_t>(j.id);
-      released_[idx] = true;
-      rem_[idx] = processed[idx];
+      rem_[idx] = volume(j.id);
       W += j.density * rem_[idx];
+      insert_rank(live_, rank_[idx]);
       ++ptr;
     }
   };
-  const auto pick_current = [&]() -> JobId {
-    JobId best = kNoJob;
-    int best_rank = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!released_[i] || rem_[i] <= 0.0) continue;
-      const int r = priority_rank_[i];
-      if (best == kNoJob || r < best_rank) {
-        best = static_cast<JobId>(i);
-        best_rank = r;
-      }
-    }
-    return best;
-  };
 
-  release_due();
+  arrive();
   while (tcur < t) {
+    ++events_;
     const std::size_t p = next_relevant();
     const double next_release = (p < n) ? rounded_.job(by_release_[p]).release : kInf;
-    const JobId cur = pick_current();
-    if (cur == kNoJob) {
+    const int r = first_rank(live_);
+    if (r < 0) {
       if (next_release > t) return 0.0;  // drained before t
       tcur = next_release;
-      release_due();
-      continue;
-    }
-    const auto idx = static_cast<std::size_t>(cur);
-    const double rho = rounded_.job(cur).density;
-    const double w_done = W - rho * rem_[idx];
-    const double t_complete = tcur + kin_.decay_time_to_weight(W, std::max(w_done, 0.0), rho);
-    if (t_complete <= t && t_complete <= next_release) {
-      W = std::max(0.0, w_done);
-      rem_[idx] = 0.0;
-      tcur = t_complete;
-    } else if (next_release <= t) {
-      const double w1 = kin_.decay_weight_after(W, rho, next_release - tcur);
-      rem_[idx] = std::max(0.0, rem_[idx] - (W - w1) / rho);
-      W = w1;
-      tcur = next_release;
     } else {
-      W = kin_.decay_weight_after(W, rho, t - tcur);
-      tcur = t;
+      const JobId cur = by_rank_[static_cast<std::size_t>(r)];
+      const auto idx = static_cast<std::size_t>(cur);
+      const double rho = rounded_.job(cur).density;
+      const double w_done = W - rho * rem_[idx];
+      const double t_complete = tcur + kin_.decay_time_to_weight(W, std::max(w_done, 0.0), rho);
+      if (t_complete <= t && t_complete <= next_release) {
+        W = std::max(0.0, w_done);
+        rem_[idx] = 0.0;
+        erase_rank(live_, r);
+        tcur = t_complete;
+      } else if (next_release <= t) {
+        const double w1 = kin_.decay_weight_after(W, rho, next_release - tcur);
+        rem_[idx] = std::max(0.0, rem_[idx] - (W - w1) / rho);
+        if (rem_[idx] <= 0.0) erase_rank(live_, r);
+        W = w1;
+        tcur = next_release;
+      } else {
+        W = kin_.decay_weight_after(W, rho, t - tcur);
+        tcur = t;
+      }
     }
-    release_due();
+    arrive();
   }
   return kin_.speed_at_weight(W);
 }
@@ -187,38 +265,35 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
   for (const Job& j : rounded.jobs()) releases.push_back(j.release);
   std::sort(releases.begin(), releases.end());
 
-  // Highest rounded density first, FIFO within a density level.
-  const auto pick_current = [&](double t) -> JobId {
-    JobId best = kNoJob;
-    for (const Job& j : rounded.jobs()) {
-      const auto idx = static_cast<std::size_t>(j.id);
-      if (done[idx] || j.release > t) continue;
-      if (best == kNoJob) {
-        best = j.id;
-        continue;
-      }
-      const Job& bj = rounded.job(best);
-      if (j.density > bj.density ||
-          (j.density == bj.density &&
-           (j.release < bj.release || (j.release == bj.release && j.id < bj.id)))) {
-        best = j.id;
-      }
-    }
-    return best;
-  };
-
   const double eta = params.eta > 0.0 ? params.eta : 1.5 * nc_eta_min(alpha);
   CurrentInstanceOracle oracle(rounded, alpha);
-  const auto speed_at = [&](double t, const std::vector<double>& p) {
+  // The running job is the oracle's anchor: between two steps only its
+  // processed volume changes, and the midpoint probe overrides just that one.
+  const auto speed_at = [&](double t, JobId cur, double cur_processed) {
     ++out.c_evaluations;
-    return eta * oracle.c_speed(p, t) + eps_speed;
+    return eta * oracle.c_speed(processed, t, cur, cur_processed) + eps_speed;
+  };
+
+  // Highest rounded density first, FIFO within a density level: the lowest
+  // priority rank among released, unfinished jobs.  t never decreases, so a
+  // pointer over the release order admits each job once.
+  const std::vector<JobId> fifo = instance.fifo_order();
+  const std::vector<JobId> by_rank = priority_order(rounded);
+  const std::vector<int> rank = ranks_of(by_rank);
+  std::vector<std::uint64_t> waiting = empty_rank_set(n);
+  std::size_t admitted = 0;
+  const auto pick_current = [&](double t) -> JobId {
+    for (; admitted < n && instance.job(fifo[admitted]).release <= t; ++admitted) {
+      insert_rank(waiting, rank[static_cast<std::size_t>(fifo[admitted])]);
+    }
+    const int r = first_rank(waiting);
+    return r < 0 ? kNoJob : by_rank[static_cast<std::size_t>(r)];
   };
 
   Schedule& sched = out.result.schedule;
   double t = 0.0;
   double t_last_event = 0.0;
   std::size_t remaining_jobs = n;
-  std::vector<double> p_mid(n, 0.0);
 
   // Online objective accumulation: cumulative energy (sum of s^alpha dt over
   // the piecewise-constant recording, exact) and cumulative *total*
@@ -228,7 +303,6 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
   OBS_COUNT("algo.nc_nonuniform.runs", 1);
   engine::OnlineMetrics om;
   double active_weight = 0.0;  // sum of true rho * remaining volume, released jobs
-  const std::vector<JobId> fifo = instance.fifo_order();
   std::size_t rel_idx = 0;
   JobId traced_running = kNoJob;
   const auto emit_releases_up_to = [&](double tau) {
@@ -269,10 +343,9 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
     if (next_rel < kInf) dt = std::min(dt, next_rel - t);
 
     // Midpoint (RK2): probe the speed halfway through the tentative step.
-    const double s1 = speed_at(t, processed);
-    p_mid = processed;
-    p_mid[idx] = std::min(true_job.volume, p_mid[idx] + 0.5 * s1 * dt);
-    const double s2 = speed_at(t + 0.5 * dt, p_mid);
+    const double s1 = speed_at(t, cur, processed[idx]);
+    const double s2 =
+        speed_at(t + 0.5 * dt, cur, std::min(true_job.volume, processed[idx] + 0.5 * s1 * dt));
 
     // Completion inside the step?  (The engine — not the algorithm — knows
     // the true volume; this is exactly the non-clairvoyant oracle.)
@@ -309,6 +382,7 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
 
     if (completes) {
       done[idx] = true;
+      erase_rank(waiting, rank[idx]);
       --remaining_jobs;
       sched.set_completion(cur, t);
       t_last_event = t;
@@ -325,6 +399,8 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
   }
   OBS_COUNT("algo.nc_nonuniform.steps", out.steps);
   OBS_COUNT("algo.nc_nonuniform.c_evaluations", out.c_evaluations);
+  out.oracle_events = oracle.events();
+  OBS_COUNT("algo.nc_nonuniform.oracle_events", out.oracle_events);
 
   const PowerLaw power(alpha);
   out.result.metrics = compute_metrics(instance, sched, power);

@@ -21,6 +21,7 @@
 // the accounting.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -63,6 +64,7 @@ struct NCNonUniformRun {
   Instance rounded;        ///< the instance the algorithm actually ordered by
   long steps = 0;          ///< integrator steps taken
   long c_evaluations = 0;  ///< inner Algorithm C simulations performed
+  long oracle_events = 0;  ///< C events those simulations stepped through
 
   explicit NCNonUniformRun(double alpha) : result(alpha) {}
 };
@@ -91,22 +93,59 @@ struct NCNonUniformRun {
 /// this twice per step, so the reference path's per-call Instance/CMachine
 /// construction dominates the whole algorithm; this oracle pre-sorts the
 /// rounded jobs once and replays Algorithm C over reused scratch buffers.
-/// Tests assert exact agreement with c_speed_on_current_instance.
+/// It replays the same C events as the reference with its own arithmetic,
+/// so tests compare the two within 1e-6 + 1e-9 * max(1, speed) (a
+/// near-drained instant leaves an O(1e-7) weight residue in one and exact
+/// zero in the other).
+///
+/// Anchor contract.  While NC runs one job j, only processed[j] changes, so
+/// C's replay of I(t) up to r_j sees the same jobs with the same volumes at
+/// every evaluation.  While processed[j] > 0 and r_j <= t, j is in I(t), and
+/// since no C event steps past a release of I(t), the replay lands on r_j
+/// exactly.  An anchored call checkpoints the replay state there the first
+/// time; later anchored calls restore it and replay only the suffix, with
+/// the same floating-point operations, so the result is bit-identical to the
+/// un-anchored call on the same weights.  The caller must not change
+/// any processed volume other than the anchor's between two calls with the
+/// same anchor; a call with another anchor drops the checkpoint.  Calls with
+/// a zero anchor weight or with r_j > t replay in full and keep it.
 class CurrentInstanceOracle {
  public:
   CurrentInstanceOracle(const Instance& rounded, double alpha);
 
   /// Speed of Algorithm C on I(t) at time t, weights from `processed`
-  /// (indexed by the rounded instance's JobIds).
+  /// (indexed by the rounded instance's JobIds).  Always a full replay; it
+  /// neither uses nor drops the anchor checkpoint.
   [[nodiscard]] double c_speed(const std::vector<double>& processed, double t);
+
+  /// The same speed with processed[anchor] read as `anchor_processed`,
+  /// replaying from the anchor checkpoint when the contract above allows.
+  [[nodiscard]] double c_speed(const std::vector<double>& processed, double t, JobId anchor,
+                               double anchor_processed);
+
+  /// Replay-loop iterations over all calls so far (a deterministic work
+  /// counter: one per C event the replays step through).
+  [[nodiscard]] long events() const { return events_; }
 
  private:
   const Instance& rounded_;
   PowerLawKinematics kin_;
   std::vector<JobId> by_release_;   ///< release asc, id asc
-  std::vector<int> priority_rank_;  ///< per job: rank in (density desc, release asc, id) order
+  std::vector<JobId> by_rank_;      ///< (density desc, release asc, id) order
+  std::vector<int> rank_;           ///< per job: its index in by_rank_
   std::vector<double> rem_;         ///< scratch: remaining volume in the replay
-  std::vector<bool> released_;      ///< scratch
+  std::vector<std::uint64_t> live_; ///< scratch: ranks released with rem_ > 0
+  long events_ = 0;
+
+  /// Replay state the first time tcur reaches the anchor's release, before
+  /// the jobs released there are added.
+  JobId ckpt_anchor_ = kNoJob;
+  bool ckpt_valid_ = false;
+  double ckpt_W_ = 0.0;
+  double ckpt_t_ = 0.0;
+  std::size_t ckpt_ptr_ = 0;
+  std::vector<double> ckpt_rem_;
+  std::vector<std::uint64_t> ckpt_live_;
 };
 
 }  // namespace speedscale
