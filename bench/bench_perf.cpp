@@ -57,7 +57,7 @@ void BM_NCNonUniform(benchmark::State& state) {
     benchmark::DoNotOptimize(run_nc_nonuniform(inst, 2.0));
   }
 }
-BENCHMARK(BM_NCNonUniform)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NCNonUniform)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_NCPar(benchmark::State& state) {
   const Instance inst = make_uniform(512);
