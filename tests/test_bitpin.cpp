@@ -5,9 +5,12 @@
 // segment tape (t0, t1, job, law, param, rho) and completion times, its
 // metrics (and online accumulators) as hex floats, for the parallel runs a
 // hash of the job-to-machine assignment, and for non-uniform NC its
-// integrator step and C-evaluation counts.  A refactor of the
-// C kernel or the replay must leave every line unchanged: the gate is bit
-// identity, not a tolerance.
+// integrator step and C-evaluation counts.  The discretized fractional OPT
+// (solve_fractional_opt) is pinned the same way on the solves the ratio
+// harness and the prefix certificates make: objective, energy, flow and
+// horizon as hex floats, the FISTA iteration count and a hash of the slot
+// speeds.  A refactor of the C kernel, the replay or the FISTA kernel must
+// leave every line unchanged: the gate is bit identity, not a tolerance.
 //
 // On a mismatch the failure message prints every computed line, so a
 // deliberate change of the pinned arithmetic regenerates the golden from it.
@@ -25,6 +28,7 @@
 #include "src/algo/algorithm_nc_nonuniform.h"
 #include "src/algo/algorithm_nc_uniform.h"
 #include "src/algo/parallel.h"
+#include "src/opt/convex_opt.h"
 #include "src/workload/generators.h"
 
 namespace speedscale {
@@ -160,6 +164,53 @@ std::string run_line(const std::string& algo, const Case& c, double alpha) {
   return key(algo, c, alpha) + " tape=" + hex64(tape.h) + text;
 }
 
+/// One convex-OPT solve of the bit-pin: `name` keys the line.
+struct OptCase {
+  std::string name;
+  Instance instance;
+  ConvexOptParams params;
+};
+
+/// The solves the sweep makes: every release prefix of a 12-job unit-density
+/// instance at the certificates' 240 slots and 2000 iterations, a 32-job
+/// density-class point at the ratio harness's 200 slots, plus one
+/// energy-weighted (budgeted.h's Lagrangian) and one explicit-horizon solve.
+std::vector<OptCase> opt_cases() {
+  std::vector<OptCase> out;
+  workload::WorkloadParams up;
+  up.n_jobs = 12;
+  up.seed = 1000003;
+  const Instance unit = workload::generate(up);
+  const ConvexOptParams prefix{.slots = 240, .max_iters = 2000};
+  for (std::size_t k = 1; k <= unit.size(); ++k) {
+    std::vector<Job> pre(unit.jobs().begin(),
+                         unit.jobs().begin() + static_cast<std::ptrdiff_t>(k));
+    char name[32];
+    std::snprintf(name, sizeof name, "unit12-p%02zu", k);
+    out.push_back({name, Instance(std::move(pre)), prefix});
+  }
+  workload::WorkloadParams cp;
+  cp.n_jobs = 32;
+  cp.seed = 1000004;
+  cp.density_mode = workload::DensityMode::kClasses;
+  out.push_back({"classes32", workload::generate(cp), {.slots = 200}});
+  out.push_back({"unit12-ew0.25", unit, {.slots = 240, .max_iters = 2000, .energy_weight = 0.25}});
+  out.push_back({"unit12-h40", unit, {.slots = 240, .horizon = 40.0, .max_iters = 2000}});
+  return out;
+}
+
+std::string opt_line(const OptCase& c, double alpha) {
+  const ConvexOptResult r = solve_fractional_opt(c.instance, alpha, c.params);
+  Hash speed;
+  speed.integer(static_cast<std::int64_t>(r.slot_speed.size()));
+  for (double s : r.slot_speed) speed.real(s);
+  char a[16];
+  std::snprintf(a, sizeof a, "%g", alpha);
+  return "opt/" + c.name + "/a" + a + " speed=" + hex64(speed.h) +
+         " iterations=" + std::to_string(r.iterations) + " result=" + hex(r.objective) + "," +
+         hex(r.energy) + "," + hex(r.fractional_flow) + "," + hex(r.horizon);
+}
+
 std::map<std::string, std::string> golden() {
   std::ifstream f(std::string(SPEEDSCALE_TEST_DATA_DIR) + "/golden/bitpin_golden.txt");
   std::map<std::string, std::string> out;
@@ -197,6 +248,21 @@ TEST(BitPin, AlgorithmNCUniform) { check("nc"); }
 TEST(BitPin, CPar) { check("cpar"); }
 TEST(BitPin, NCPar) { check("ncpar"); }
 TEST(BitPin, NCNonUniform) { check("nc_nonuniform"); }
+
+TEST(BitPin, ConvexOpt) {
+  const std::map<std::string, std::string> want = golden();
+  ASSERT_FALSE(want.empty()) << "tests/golden/bitpin_golden.txt is missing or empty";
+  std::string all;
+  for (const OptCase& c : opt_cases()) {
+    for (double alpha : kAlphas) {
+      const std::string got = opt_line(c, alpha);
+      all += got + "\n";
+      const auto it = want.find(got.substr(0, got.find(' ')));
+      EXPECT_TRUE(it != want.end() && it->second == got) << "bit-pin drift: " << got;
+    }
+  }
+  if (::testing::Test::HasFailure()) std::printf("computed lines:\n%s", all.c_str());
+}
 
 }  // namespace
 }  // namespace speedscale
