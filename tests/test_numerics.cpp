@@ -1,8 +1,13 @@
 // Unit tests for the numerics module (roots, ODE, projection, stats).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include "src/numerics/ode.h"
 #include "src/numerics/projection.h"
@@ -154,6 +159,82 @@ TEST(Projection, ZeroTotalZeroesEverything) {
   std::vector<double> x{1.0, 2.0, 3.0};
   project_simplex(x, 0.0);
   for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+/// The sort-based projection the order-hinted one replaced: a sorted copy,
+/// prefix sums in descending order, the last index that keeps a positive part.
+std::vector<double> project_simplex_sorted(std::vector<double> x, double total) {
+  std::vector<double> u = x;
+  std::sort(u.begin(), u.end(), std::greater<>());
+  double cssv = 0.0;
+  double tau = 0.0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    cssv += u[i];
+    const double t = (cssv - total) / static_cast<double>(i + 1);
+    if (u[i] - t > 0.0) tau = t;
+  }
+  for (double& xi : x) xi = std::max(xi - tau, 0.0);
+  return x;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Projection, OrderHintMatchesSortedBitForBit) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-300, 300);
+  std::vector<std::vector<double>> rows = {
+      {0.5, 0.5, 0.5, 0.5},                     // all tied
+      {1.0, 0.0, -0.0, 0.0, -0.0, 1.0, 2.0},    // +-0 ties between values
+      {-0.0, 0.0, -0.0},                        // zeros only
+      {-3.0, -1.0, -2.0, -1.0},                 // all negative
+      {1e-300, 1e300, -1e300, 1e-300, 0.0, 1.0},
+      {7.0},                                    // single slot
+  };
+  for (int r = 0; r < 40; ++r) {
+    std::vector<double> row(1 + static_cast<std::size_t>(r) * 7);
+    for (double& v : row) v = unit(rng) * std::pow(10.0, exponent(rng) / (r % 3 == 0 ? 1 : 100));
+    if (r % 4 == 1) {  // plant ties
+      for (std::size_t i = 1; i < row.size(); i += 3) row[i] = row[i - 1];
+    }
+    rows.push_back(row);
+  }
+  int checked = 0;
+  for (const std::vector<double>& row : rows) {
+    for (double total : {1.0, 1e-300, 1e300, 3.5}) {
+      const std::vector<double> want = project_simplex_sorted(row, total);
+      const std::size_t n = row.size();
+      std::vector<std::uint32_t> identity(n), reversed(n), shuffled(n), sorted(n);
+      std::iota(identity.begin(), identity.end(), 0U);
+      std::iota(reversed.rbegin(), reversed.rend(), 0U);
+      shuffled = identity;
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      sorted = identity;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [&](std::uint32_t a, std::uint32_t b) { return row[a] > row[b]; });
+      for (const std::vector<std::uint32_t>& hint : {identity, reversed, shuffled, sorted}) {
+        std::vector<double> got = row;
+        std::vector<std::uint32_t> order = hint;
+        project_simplex(got, total, order);
+        EXPECT_TRUE(same_bits(got, want)) << "n=" << n << " total=" << total;
+        // On exit the order is a descending order of the input.
+        for (std::size_t i = 1; i < n; ++i) EXPECT_GE(row[order[i - 1]], row[order[i]]);
+        ++checked;
+      }
+      std::vector<double> plain = row;
+      project_simplex(plain, total);
+      EXPECT_TRUE(same_bits(plain, want));
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int>(rows.size()) * 4 * 4);
+}
+
+TEST(Projection, OrderHintMustMatchTheSpan) {
+  std::vector<double> x{1.0, 2.0};
+  std::vector<std::uint32_t> order{0};
+  EXPECT_THROW(project_simplex(x, 1.0, order), std::invalid_argument);
 }
 
 TEST(Stats, RunningStatsBasics) {
