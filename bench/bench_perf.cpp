@@ -67,15 +67,29 @@ void BM_NCPar(benchmark::State& state) {
 }
 BENCHMARK(BM_NCPar)->Arg(2)->Arg(8)->Arg(32);
 
+/// Args {jobs, slots, classes}: 8 unit-density jobs at 100 and 400 slots,
+/// then the two shapes perfbench `sweep` solves: a 12-job prefix
+/// certificate at 240 slots and a 32-job density-class point at 200 slots.
 void BM_ConvexOpt(benchmark::State& state) {
-  const Instance inst = make_uniform(8);
+  const int n = static_cast<int>(state.range(0));
+  const Instance inst =
+      state.range(2) != 0
+          ? workload::generate(
+                {.n_jobs = n, .density_mode = workload::DensityMode::kClasses, .seed = 1})
+          : make_uniform(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_fractional_opt(inst, 2.0, {.slots = static_cast<int>(state.range(0)),
+        solve_fractional_opt(inst, 2.0, {.slots = static_cast<int>(state.range(1)),
                                          .max_iters = 500}));
   }
 }
-BENCHMARK(BM_ConvexOpt)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConvexOpt)
+    ->ArgNames({"jobs", "slots", "classes"})
+    ->Args({8, 100, 0})
+    ->Args({8, 400, 0})
+    ->Args({12, 240, 0})
+    ->Args({32, 200, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SweepThreads(benchmark::State& state) {
   const std::size_t n_threads = static_cast<std::size_t>(state.range(0));

@@ -2,8 +2,13 @@
 
 #include "src/obs/json_util.h"
 
-// Injected per-TU by src/CMakeLists.txt (configure-time `git rev-parse` and
-// CMAKE_BUILD_TYPE); default to "unknown" so out-of-tree builds still link.
+// SPEEDSCALE_GIT_HASH comes from a header generated at build time
+// (src/obs/write_git_hash.cmake), SPEEDSCALE_BUILD_TYPE from a per-TU
+// definition (src/CMakeLists.txt); both default to "unknown" so builds
+// without them still link.
+#if __has_include("speedscale_git_hash.h")
+#include "speedscale_git_hash.h"
+#endif
 #ifndef SPEEDSCALE_GIT_HASH
 #define SPEEDSCALE_GIT_HASH "unknown"
 #endif
