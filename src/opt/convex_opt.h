@@ -44,7 +44,8 @@ struct ConvexOptResult {
 
 /// Solves the discretized fractional offline optimum.  Consults the calling
 /// thread's installed OptSolveCache (src/opt/opt_cache.h), when one exists,
-/// before running FISTA — results are identical either way.
+/// before running FISTA — results are identical either way.  Throws
+/// ModelError when a non-empty instance is given fewer than one slot.
 [[nodiscard]] ConvexOptResult solve_fractional_opt(const Instance& instance, double alpha,
                                                    const ConvexOptParams& params = {});
 
