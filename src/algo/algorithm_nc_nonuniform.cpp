@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "src/core/kinematics.h"
-#include "src/core/power.h"
-#include "src/engine/online_metrics.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/sim/c_machine.h"
@@ -107,18 +105,12 @@ CurrentInstanceOracle::CurrentInstanceOracle(const Instance& rounded, double alp
       ckpt_rem_(rounded.size(), 0.0),
       ckpt_live_(live_) {}
 
-double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t) {
-  return c_speed(processed, t, kNoJob, 0.0);
-}
-
-double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t,
-                                      JobId anchor, double anchor_processed) {
+template <typename VolumeAt>
+double CurrentInstanceOracle::replay(double t, JobId anchor, double anchor_processed,
+                                     const VolumeAt& volume_at) {
   // Replay Algorithm C on I(t): jobs released at or before t whose processed
   // weight is positive, with volume = processed volume at rounded density.
   const std::size_t n = rounded_.size();
-  const auto volume = [&](JobId id) {
-    return id == anchor ? anchor_processed : processed[static_cast<std::size_t>(id)];
-  };
   if (anchor != kNoJob && anchor != ckpt_anchor_) {
     ckpt_anchor_ = anchor;
     ckpt_valid_ = false;
@@ -149,7 +141,7 @@ double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, doub
     while (ptr < n) {
       const Job& j = rounded_.job(by_release_[ptr]);
       if (j.release > t) return n;  // later jobs are not part of I(t)
-      if (volume(j.id) > 0.0) return ptr;
+      if (volume_at(ptr) > 0.0) return ptr;
       ++ptr;
     }
     return n;
@@ -173,7 +165,7 @@ double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, doub
       const Job& j = rounded_.job(by_release_[p]);
       if (j.release > tcur) break;
       const auto idx = static_cast<std::size_t>(j.id);
-      rem_[idx] = volume(j.id);
+      rem_[idx] = volume_at(p);
       W += j.density * rem_[idx];
       insert_rank(live_, rank_[idx]);
       ++ptr;
@@ -214,6 +206,25 @@ double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, doub
     arrive();
   }
   return kin_.speed_at_weight(W);
+}
+
+double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t) {
+  return c_speed(processed, t, kNoJob, 0.0);
+}
+
+double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t,
+                                      JobId anchor, double anchor_processed) {
+  return replay(t, anchor, anchor_processed, [&](std::size_t p) {
+    const JobId id = by_release_[p];
+    return id == anchor ? anchor_processed : processed[static_cast<std::size_t>(id)];
+  });
+}
+
+double CurrentInstanceOracle::c_speed(const ObservableState& st, std::size_t running) {
+  const ObservableState::VisibleJob& anchor = st.jobs[running];
+  return replay(st.time, anchor.id, anchor.processed, [&](std::size_t p) {
+    return p < st.jobs.size() ? st.jobs[p].processed : 0.0;
+  });
 }
 
 double nc_eta_min(double alpha) {
@@ -258,153 +269,54 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
   const double min_dt =
       std::min(params.min_step * std::max(t_ref, 1e-12), std::max(0.05 * t_layer, 1e-15));
 
-  std::vector<double> processed(n, 0.0);
-  std::vector<bool> done(n, false);
-
-  std::vector<double> releases;
-  for (const Job& j : rounded.jobs()) releases.push_back(j.release);
-  std::sort(releases.begin(), releases.end());
-
   const double eta = params.eta > 0.0 ? params.eta : 1.5 * nc_eta_min(alpha);
   CurrentInstanceOracle oracle(rounded, alpha);
-  // The running job is the oracle's anchor: between two steps only its
-  // processed volume changes, and the midpoint probe overrides just that one.
-  const auto speed_at = [&](double t, JobId cur, double cur_processed) {
-    ++out.c_evaluations;
-    return eta * oracle.c_speed(processed, t, cur, cur_processed) + eps_speed;
-  };
 
   // Highest rounded density first, FIFO within a density level: the lowest
-  // priority rank among released, unfinished jobs.  t never decreases, so a
-  // pointer over the release order admits each job once.
-  const std::vector<JobId> fifo = instance.fifo_order();
+  // priority rank among released, unfinished jobs.  The state's jobs only
+  // grow, in release order, so each job is admitted once; `position` maps a
+  // job to its index there.
   const std::vector<JobId> by_rank = priority_order(rounded);
   const std::vector<int> rank = ranks_of(by_rank);
+  const std::vector<int> position = ranks_of(rounded.fifo_order());
   std::vector<std::uint64_t> waiting = empty_rank_set(n);
   std::size_t admitted = 0;
-  const auto pick_current = [&](double t) -> JobId {
-    for (; admitted < n && instance.job(fifo[admitted]).release <= t; ++admitted) {
-      insert_rank(waiting, rank[static_cast<std::size_t>(fifo[admitted])]);
+  // The running job is the oracle's anchor: between two steps only its
+  // processed volume changes, and the midpoint probe overrides just that one.
+  const SpeedPolicy policy = [&](const ObservableState& st) -> PolicyDecision {
+    for (; admitted < st.jobs.size(); ++admitted) {
+      insert_rank(waiting, rank[static_cast<std::size_t>(st.jobs[admitted].id)]);
     }
-    const int r = first_rank(waiting);
-    return r < 0 ? kNoJob : by_rank[static_cast<std::size_t>(r)];
+    for (int r = first_rank(waiting); r >= 0; r = first_rank(waiting)) {
+      const auto p = static_cast<std::size_t>(position[by_rank[static_cast<std::size_t>(r)]]);
+      if (!st.jobs[p].completed) {
+        ++out.c_evaluations;
+        return {st.jobs[p].id, eta * oracle.c_speed(st, p) + eps_speed};
+      }
+      erase_rank(waiting, r);
+    }
+    return {};
   };
 
-  Schedule& sched = out.result.schedule;
-  double t = 0.0;
-  double t_last_event = 0.0;
-  std::size_t remaining_jobs = n;
-
-  // Online objective accumulation: cumulative energy (sum of s^alpha dt over
-  // the piecewise-constant recording, exact) and cumulative *total*
-  // fractional flow via the active true-density weight.  Always maintained —
-  // it feeds RunResult::online — with only the trace-event emission gated.
-  const bool tracing = obs::tracing_enabled();
   OBS_COUNT("algo.nc_nonuniform.runs", 1);
-  engine::OnlineMetrics om;
-  double active_weight = 0.0;  // sum of true rho * remaining volume, released jobs
-  std::size_t rel_idx = 0;
-  JobId traced_running = kNoJob;
-  const auto emit_releases_up_to = [&](double tau) {
-    while (rel_idx < fifo.size() && instance.job(fifo[rel_idx]).release <= tau) {
-      const Job& j = instance.job(fifo[rel_idx]);
-      active_weight += j.weight();
-      TRACE_EVENT(.kind = obs::EventKind::kJobRelease, .t = j.release, .job = j.id,
-                  .value = j.volume, .aux = j.density);
-      ++rel_idx;
-    }
-  };
-  emit_releases_up_to(0.0);
-
-  while (remaining_jobs > 0) {
-    if (out.steps > params.max_steps) {
-      throw ModelError("run_nc_nonuniform: integrator step cap exceeded; "
-                       "loosen step_growth/min_step");
-    }
-    const JobId cur = pick_current(t);
-    auto next_rel_it = std::upper_bound(releases.begin(), releases.end(), t);
-    const double next_rel = next_rel_it == releases.end() ? kInf : *next_rel_it;
-
-    if (cur == kNoJob) {
-      if (next_rel == kInf) {
-        throw ModelError("run_nc_nonuniform: no active job and no pending release");
-      }
-      t = next_rel;
-      t_last_event = t;
-      emit_releases_up_to(t);
-      if (observer) observer(t, processed);
-      continue;
-    }
-
-    const Job& true_job = instance.job(cur);
-    const auto idx = static_cast<std::size_t>(cur);
-
-    double dt = std::max(min_dt, params.step_growth * (t - t_last_event));
-    if (next_rel < kInf) dt = std::min(dt, next_rel - t);
-
-    // Midpoint (RK2): probe the speed halfway through the tentative step.
-    const double s1 = speed_at(t, cur, processed[idx]);
-    const double s2 =
-        speed_at(t + 0.5 * dt, cur, std::min(true_job.volume, processed[idx] + 0.5 * s1 * dt));
-
-    // Completion inside the step?  (The engine — not the algorithm — knows
-    // the true volume; this is exactly the non-clairvoyant oracle.)
-    const double vrem = true_job.volume - processed[idx];
-    bool completes = false;
-    if (s2 * dt >= vrem) {
-      dt = vrem / s2;
-      completes = true;
-    }
-
-    sched.append({t, t + dt, cur, SpeedLaw::kConstant, s2, rounded.job(cur).density});
-    if (tracing) {
-      if (cur != traced_running) {
-        if (traced_running != kNoJob && !done[static_cast<std::size_t>(traced_running)]) {
-          TRACE_EVENT(.kind = obs::EventKind::kPreemption, .t = t, .job = traced_running,
-                      .value = static_cast<double>(cur),
-                      .aux = instance.job(traced_running).volume -
-                             processed[static_cast<std::size_t>(traced_running)]);
-        }
-        TRACE_EVENT(.kind = obs::EventKind::kSpeedChange, .t = t, .job = cur, .value = s2,
-                    .aux = processed[idx]);
-        traced_running = cur;
-      }
-    }
-    // Exact accumulation over the constant-speed step (matches the replay
-    // in compute_metrics): the current job's volume shrinks linearly.
-    const double dv = completes ? vrem : s2 * dt;
-    om.add_energy(std::pow(s2, alpha) * dt);
-    om.add_fractional_flow(active_weight * dt - 0.5 * true_job.density * s2 * dt * dt);
-    active_weight = std::max(0.0, active_weight - true_job.density * dv);
-    processed[idx] = completes ? true_job.volume : processed[idx] + s2 * dt;
-    t += dt;
-    ++out.steps;
-
-    if (completes) {
-      done[idx] = true;
-      erase_rank(waiting, rank[idx]);
-      --remaining_jobs;
-      sched.set_completion(cur, t);
-      t_last_event = t;
-      om.add_integral_flow(true_job.weight() * (t - true_job.release));
-      TRACE_EVENT(.kind = obs::EventKind::kJobComplete, .t = t, .job = cur,
-                  .value = om.energy(), .aux = om.fractional_flow());
-      emit_releases_up_to(t);
-      if (observer) observer(t, processed);
-    } else if (next_rel < kInf && t >= next_rel - 1e-15 * std::max(1.0, next_rel)) {
-      t_last_event = t;
-      emit_releases_up_to(t);
-      if (observer) observer(t, processed);
-    }
+  std::vector<double> processed;  // per job id, for the observer
+  detail::PolicyEngineSetup setup{.step_growth = params.step_growth,
+                                  .min_dt = min_dt,
+                                  .max_steps = params.max_steps,
+                                  .label = nullptr,
+                                  .on_event = {}};
+  if (observer) {
+    setup.on_event = [&](const ObservableState& st) {
+      processed.assign(n, 0.0);
+      for (const auto& j : st.jobs) processed[static_cast<std::size_t>(j.id)] = j.processed;
+      observer(st.time, processed);
+    };
   }
+  out.steps = detail::run_policy_engine(instance, rounded, alpha, policy, setup, out.result);
   OBS_COUNT("algo.nc_nonuniform.steps", out.steps);
   OBS_COUNT("algo.nc_nonuniform.c_evaluations", out.c_evaluations);
   out.oracle_events = oracle.events();
   OBS_COUNT("algo.nc_nonuniform.oracle_events", out.oracle_events);
-
-  const PowerLaw power(alpha);
-  out.result.metrics = compute_metrics(instance, sched, power);
-  out.result.online = om.metrics();
   return out;
 }
 

@@ -13,12 +13,13 @@
 //      epsilon bootstraps the all-weights-zero start (Section 4 discussion).
 //
 // The current-instance speed has no closed form (adding weight to a job
-// reshapes the whole downstream clairvoyant run, cf. Figure 2b), so the
-// trajectory is integrated with an adaptive midpoint (RK2) scheme whose
-// inner evaluations are *exact* event-driven C-simulations of I(t).  The
-// recorded schedule is piecewise-constant in speed; metrics are evaluated
-// exactly on that recording, so discretization only perturbs the policy, not
-// the accounting.
+// reshapes the whole downstream clairvoyant run, cf. Figure 2b), but it reads
+// only releases, densities and processed volumes: it is a policy over
+// ObservableState, run on the custom-policy engine (sim/custom_policy.h),
+// whose adaptive midpoint (RK2) steps take *exact* event-driven
+// C-simulations of I(t) as their speed evaluations.  The recorded schedule
+// is piecewise-constant in speed; metrics are evaluated exactly on that
+// recording, so discretization only perturbs the policy, not the accounting.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 
 #include "src/algo/run_result.h"
 #include "src/core/instance.h"
+#include "src/sim/custom_policy.h"
 
 namespace speedscale {
 
@@ -123,11 +125,22 @@ class CurrentInstanceOracle {
   [[nodiscard]] double c_speed(const std::vector<double>& processed, double t, JobId anchor,
                                double anchor_processed);
 
+  /// The same speed at st.time, weights from the state's processed volumes,
+  /// anchored at the running job st.jobs[running].  st.jobs must be the
+  /// jobs released by st.time in the rounded instance's fifo_order(), which
+  /// is the order the replay walks, so no volume is looked up by id.
+  [[nodiscard]] double c_speed(const ObservableState& st, std::size_t running);
+
   /// Replay-loop iterations over all calls so far (a deterministic work
   /// counter: one per C event the replays step through).
   [[nodiscard]] long events() const { return events_; }
 
  private:
+  /// The replay; volume_at(p) is the processed volume of by_release_[p]
+  /// with the anchor's already read as `anchor_processed`.
+  template <typename VolumeAt>
+  double replay(double t, JobId anchor, double anchor_processed, const VolumeAt& volume_at);
+
   const Instance& rounded_;
   PowerLawKinematics kin_;
   std::vector<JobId> by_release_;   ///< release asc, id asc

@@ -9,10 +9,11 @@
 // non-clairvoyance by construction — volumes are simply absent from the
 // state the policy sees.
 //
-// The library's own algorithms have exact closed-form simulators; this
-// engine exists for downstream experimentation (new speed rules, learned
-// policies, hybrid heuristics) and is cross-validated against the exact
-// simulators in the tests.
+// It is the library's one stepping engine for speed rules without a closed
+// form: non-uniform Algorithm NC (algorithm_nc_nonuniform.h) runs on it as a
+// policy over the same state, and so can new speed rules, learned policies
+// and hybrid heuristics.  It is cross-validated against the exact simulators
+// in the tests.
 #pragma once
 
 #include <functional>
@@ -58,15 +59,39 @@ using SpeedPolicy = std::function<PolicyDecision(const ObservableState&)>;
 struct CustomPolicyParams {
   double step_growth = 0.05;   ///< dt grows by this fraction of time-since-event
   double min_step = 1e-6;      ///< relative to the instance's natural time scale
-  long max_steps = 50'000'000; ///< safety cap
+  long max_steps = 20'000'000; ///< cap on integrator steps (one segment each)
 };
 
 /// Runs `policy` on `instance` with P(s) = s^alpha.  The recorded schedule
 /// is piecewise constant in speed; metrics are exact for the recording.
-/// Throws ModelError if the policy picks an unreleased/completed job or
-/// idles forever while work remains.
+/// `online` accumulates the same objective step by step.  Throws ModelError
+/// if the policy picks an unreleased/completed job, returns a non-finite
+/// speed, idles forever while work remains or exceeds `max_steps`.
 [[nodiscard]] RunResult run_custom_policy(const Instance& instance, double alpha,
                                           const SpeedPolicy& policy,
                                           const CustomPolicyParams& params = {});
+
+namespace detail {
+
+/// How a caller drives the stepping engine beyond CustomPolicyParams.
+struct PolicyEngineSetup {
+  double step_growth = 0.05;
+  double min_dt = 0.0;  ///< smallest step after an event, in time units
+  long max_steps = 0;
+  const char* label = nullptr;  ///< trace-event label: a string literal or none
+  /// Called at each release or completion, with st.time the event's time.
+  std::function<void(const ObservableState&)> on_event;
+};
+
+/// The stepping engine behind run_custom_policy and run_nc_nonuniform, on a
+/// non-empty instance.  Segments carry the density of `ordered`'s job (the
+/// instance the policy orders by; same jobs, volumes and releases as
+/// `instance`).  Fills out.schedule, out.metrics and out.online and returns
+/// the integrator steps taken.
+long run_policy_engine(const Instance& instance, const Instance& ordered, double alpha,
+                       const SpeedPolicy& policy, const PolicyEngineSetup& setup,
+                       RunResult& out);
+
+}  // namespace detail
 
 }  // namespace speedscale
