@@ -69,7 +69,9 @@ BENCHMARK(BM_NCPar)->Arg(2)->Arg(8)->Arg(32);
 
 /// Args {jobs, slots, classes}: 8 unit-density jobs at 100 and 400 slots,
 /// then the two shapes perfbench `sweep` solves: a 12-job prefix
-/// certificate at 240 slots and a 32-job density-class point at 200 slots.
+/// certificate at 240 slots and a 32-job density-class point at 200 slots,
+/// and 256 unit-density jobs at 6400 slots (ROADMAP item 13's refinement).
+/// The unit-density rows take the exact path, the class row FISTA.
 void BM_ConvexOpt(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Instance inst =
@@ -89,6 +91,7 @@ BENCHMARK(BM_ConvexOpt)
     ->Args({8, 400, 0})
     ->Args({12, 240, 0})
     ->Args({32, 200, 1})
+    ->Args({256, 6400, 0})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SweepThreads(benchmark::State& state) {

@@ -234,6 +234,7 @@ double nc_eta_min(double alpha) {
 
 NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
                                   const NCNonUniformParams& params, const NCObserver& observer) {
+  detail::check_step_params(params.step_growth, params.min_step, params.max_steps);
   NCNonUniformRun out(alpha);
   out.rounded =
       params.round_densities ? instance.rounded_densities(params.beta) : instance;

@@ -71,7 +71,9 @@ struct NCNonUniformRun {
   explicit NCNonUniformRun(double alpha) : result(alpha) {}
 };
 
-/// Runs non-uniform Algorithm NC with P(s) = s^alpha.
+/// Runs non-uniform Algorithm NC with P(s) = s^alpha.  Throws ModelError at
+/// once for a non-positive or non-finite `min_step` or `step_growth` or a
+/// `max_steps` below 1, and when the run exceeds `max_steps`.
 [[nodiscard]] NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
                                                 const NCNonUniformParams& params = {},
                                                 const NCObserver& observer = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "src/numerics/projection.h"
@@ -125,27 +126,34 @@ struct Problem {
   }
 };
 
-}  // namespace
-
-ConvexOptResult solve_fractional_opt(const Instance& instance, double alpha,
-                                     const ConvexOptParams& params) {
-  if (OptSolveCache* cache = active_opt_cache()) {
-    return cache->solve(instance, alpha, params);
-  }
-  return detail::solve_fractional_opt_uncached(instance, alpha, params);
+/// A job's first allowed slot: the first slot boundary at or after its
+/// release, clamped to the last slot (in double, so a release far past the
+/// horizon cannot overflow the int).
+int first_allowed_slot(double release, double h, int n_slots) {
+  return static_cast<int>(
+      std::min(std::ceil(release / h - 1e-12), static_cast<double>(n_slots - 1)));
 }
 
-namespace detail {
-
-ConvexOptResult solve_fractional_opt_uncached(const Instance& instance, double alpha,
-                                              const ConvexOptParams& params) {
-  if (instance.empty()) return {};
+/// Rejects parameters the program is undefined for and returns the grid's
+/// horizon (the explicit one, or 3x the Algorithm C makespan).
+double checked_horizon(const Instance& instance, double alpha, const ConvexOptParams& params) {
   if (params.slots < 1) throw ModelError("solve_fractional_opt: slots must be positive");
-  double horizon = params.horizon;
-  if (horizon <= 0.0) {
-    const Schedule c = run_algorithm_c(instance, alpha);
-    horizon = 3.0 * std::max(c.makespan(), 1e-12);
+  if (!(alpha > 1.0) || !std::isfinite(alpha)) {
+    throw ModelError("solve_fractional_opt: alpha must be finite and exceed 1");
   }
+  if (!(params.horizon >= 0.0) || !std::isfinite(params.horizon)) {
+    throw ModelError("solve_fractional_opt: horizon must be finite and non-negative");
+  }
+  if (!(params.energy_weight > 0.0) || !std::isfinite(params.energy_weight)) {
+    throw ModelError("solve_fractional_opt: energy_weight must be finite and positive");
+  }
+  if (params.horizon > 0.0) return params.horizon;
+  const Schedule c = run_algorithm_c(instance, alpha);
+  return 3.0 * std::max(c.makespan(), 1e-12);
+}
+
+ConvexOptResult fista(const Instance& instance, double alpha, const ConvexOptParams& params,
+                      double horizon) {
   const int N = params.slots;
   const std::size_t dim = instance.size() * static_cast<std::size_t>(N);
   Problem prob{instance, alpha, N, horizon / N, params.energy_weight, {}, {}, {}};
@@ -153,8 +161,7 @@ ConvexOptResult solve_fractional_opt_uncached(const Instance& instance, double a
   prob.flow_coef.assign(dim, 0.0);
   prob.sigma.resize(static_cast<std::size_t>(N));
   for (const Job& j : instance.jobs()) {
-    int f = static_cast<int>(std::ceil(j.release / prob.h - 1e-12));
-    f = std::min(f, N - 1);
+    const int f = first_allowed_slot(j.release, prob.h, N);
     prob.first_slot[static_cast<std::size_t>(j.id)] = f;
     for (int i = f; i < N; ++i) {
       const double mid = (static_cast<double>(i) + 0.5) * prob.h;
@@ -251,6 +258,213 @@ ConvexOptResult solve_fractional_opt_uncached(const Instance& instance, double a
     out.slot_speed[static_cast<std::size_t>(i)] = prob.sigma[static_cast<std::size_t>(i)] / prob.h;
   }
   return out;
+}
+
+/// The exact solve when every job has the same density rho.  The flow term
+/// is then rho * sum_i t_i sigma_i - rho * sum_j r_j V_j, so the program sees
+/// x only through the slot totals sigma_i, and a sigma >= 0 with the right
+/// total is feasible iff no prefix of slots holds more than the volume
+/// released into it.  Its KKT conditions give each maximal run of release
+/// groups (jobs sharing a first slot) one water level lambda: every busy slot
+/// of the run has marginal cost w * alpha * (sigma_i/h)^(alpha-1) + rho t_i
+/// equal to lambda, and every idle one rho t_i >= lambda.  Levels rise from
+/// run to run, so pool-adjacent-violators over the groups finds the runs.
+class WaterFill {
+ public:
+  WaterFill(double alpha, double h, double rho, double energy_weight)
+      : alpha_(alpha), h_(h), step_(rho * h), wa_(energy_weight * alpha),
+        p_(1.0 / (alpha - 1.0)) {}
+
+  /// A run of release groups over slots [begin, end).  Its busy slots are
+  /// [begin, begin + busy); `top` is lambda - rho t of the last of them, so
+  /// every busy slot's headroom is `top` plus a multiple of rho h: no
+  /// difference of two large times, and the last slot keeps its digits
+  /// however close lambda is to starting the next one.
+  struct Block {
+    int begin = 0;
+    int end = 0;
+    std::size_t first_job = 0;  ///< [first_job, end_job) in release order
+    std::size_t end_job = 0;
+    double volume = 0.0;
+    int busy = 0;
+    double top = 0.0;
+  };
+
+  /// Appends the next release group and merges it backwards while an earlier
+  /// run's level exceeds the later one's.
+  void add_group(Block b, std::vector<Block>& blocks) {
+    solve(b);
+    blocks.push_back(b);
+    while (blocks.size() >= 2) {
+      Block& prev = blocks[blocks.size() - 2];
+      const Block& last = blocks.back();
+      // Both levels relative to rho t at last.begin.
+      if (!(headroom(prev, last.begin - prev.begin) > headroom(last, 0))) break;
+      prev.end = last.end;
+      prev.end_job = last.end_job;
+      prev.volume += last.volume;
+      blocks.pop_back();
+      solve(blocks.back());
+    }
+  }
+
+  /// Slot speed sigma_i / h of slot begin + k of a solved run.
+  [[nodiscard]] double speed(const Block& b, int k) const {
+    return k < b.busy ? std::pow(headroom(b, k) / wa_, p_) : 0.0;
+  }
+
+  [[nodiscard]] long steps() const { return steps_; }
+
+ private:
+  /// lambda - rho t at slot begin + k (negative past the busy slots).
+  [[nodiscard]] double headroom(const Block& b, int k) const {
+    return b.top + step_ * static_cast<double>(b.busy - 1 - k);
+  }
+
+  /// Finds the run's busy slots and level.  The volume the first K slots
+  /// hold when lambda just reaches slot K's idle marginal cost is
+  /// sum_{m=1..K} h (rho h m / (w alpha))^(1/(alpha-1)); the least K whose
+  /// sum reaches V is the busy count.  The headroom u of the last busy slot
+  /// then solves S(u) = sum_{m<K} h ((u + rho h m) / (w alpha))^p = V, by
+  /// Newton on S(u)^(alpha-1) (exact when one slot is busy) inside a
+  /// bisection bracket.
+  void solve(Block& b) {
+    const double V = b.volume;
+    const int slots = b.end - b.begin;
+    int K = 1;
+    for (double full = 0.0; K < slots; ++K) {
+      full += h_ * std::pow(step_ * K / wa_, p_);
+      if (full >= V) break;
+    }
+    b.busy = K;
+    // One busy slot holding V is an upper end, as is the next slot's start.
+    double lo = 0.0;
+    double hi = wa_ * std::pow(V / h_, alpha_ - 1.0);
+    if (K < slots) hi = std::min(hi, step_);
+    double u = hi;
+    for (;;) {
+      ++steps_;
+      // S(u) and S'(u) / p = sum_m h * speed_m / (u + rho h m).
+      double S = 0.0, dS = 0.0;
+      for (int m = K - 1; m >= 0; --m) {
+        const double x = u + step_ * static_cast<double>(m);
+        const double sigma = h_ * std::pow(x / wa_, p_);
+        S += sigma;
+        dS += sigma / x;
+      }
+      if (S == V) break;
+      (S > V ? hi : lo) = u;
+      double next = u - S * (1.0 - std::pow(V / S, alpha_ - 1.0)) / dS;
+      if (!(next > lo && next < hi)) {
+        next = lo > 0.0 && hi > 2.0 * lo ? std::sqrt(lo * hi) : 0.5 * (lo + hi);
+      }
+      const bool done = !(next > lo && next < hi) ||
+                        std::abs(next - u) <= 4.0 * std::numeric_limits<double>::epsilon() * u;
+      u = next;
+      if (done) break;
+    }
+    b.top = u;
+  }
+
+  double alpha_;
+  double h_;
+  double step_;  ///< rho * h: the marginal flow cost from one slot to the next
+  double wa_;    ///< energy_weight * alpha
+  double p_;     ///< 1 / (alpha - 1)
+  long steps_ = 0;
+};
+
+ConvexOptResult water_fill(const Instance& instance, double alpha, const ConvexOptParams& params,
+                           double horizon) {
+  const int N = params.slots;
+  const double h = horizon / N;
+  const double rho = instance.jobs().front().density;
+  WaterFill wf(alpha, h, rho, params.energy_weight);
+
+  // Release groups in release order; first slots never decrease along it.
+  const std::vector<JobId> order = instance.fifo_order();
+  std::vector<WaterFill::Block> blocks;
+  for (std::size_t k = 0; k < order.size();) {
+    WaterFill::Block b;
+    b.begin = first_allowed_slot(instance.job(order[k]).release, h, N);
+    b.first_job = k;
+    for (; k < order.size(); ++k) {
+      const Job& j = instance.job(order[k]);
+      if (first_allowed_slot(j.release, h, N) != b.begin) break;
+      b.volume += j.volume;
+    }
+    b.end_job = k;
+    b.end = k < order.size() ? first_allowed_slot(instance.job(order[k]).release, h, N) : N;
+    wf.add_group(b, blocks);
+  }
+
+  ConvexOptResult out;
+  out.iterations = static_cast<int>(wf.steps());
+  out.horizon = horizon;
+  out.slot_speed.assign(static_cast<std::size_t>(N), 0.0);
+  for (const WaterFill::Block& b : blocks) {
+    for (int k = 0; k < b.busy; ++k) {
+      out.slot_speed[static_cast<std::size_t>(b.begin + k)] = wf.speed(b, k);
+    }
+    // The flow, job by job in release order over the run's slots, so each
+    // term is rho * (t_i - r_j) * x and keeps its digits when t is large.
+    const int busy_end = b.begin + b.busy;
+    int i = b.begin;
+    double left = h * out.slot_speed[static_cast<std::size_t>(i)];
+    for (std::size_t k = b.first_job; k < b.end_job; ++k) {
+      const Job& j = instance.job(order[k]);
+      const bool last = k + 1 == b.end_job;  // takes whatever rounding left over
+      double need = j.volume;
+      while (i < busy_end && (last || need > 0.0)) {
+        const double take = last ? left : std::min(need, left);
+        const double mid = (static_cast<double>(i) + 0.5) * h;
+        out.fractional_flow += j.density * (mid - j.release) * take;
+        need -= take;
+        left -= take;
+        if (last || !(left > 0.0)) {
+          if (++i < busy_end) left = h * out.slot_speed[static_cast<std::size_t>(i)];
+        }
+      }
+    }
+  }
+  for (double s : out.slot_speed) {
+    if (s > 0.0) out.energy += h * std::pow(s, alpha);
+  }
+  out.objective = params.energy_weight * out.energy + out.fractional_flow;
+  OBS_COUNT("opt.waterfill.solves", 1);
+  return out;
+}
+
+bool single_density(const Instance& instance) {
+  const double rho = instance.jobs().front().density;
+  return std::all_of(instance.jobs().begin(), instance.jobs().end(),
+                     [rho](const Job& j) { return j.density == rho; });
+}
+
+}  // namespace
+
+ConvexOptResult solve_fractional_opt(const Instance& instance, double alpha,
+                                     const ConvexOptParams& params) {
+  if (OptSolveCache* cache = active_opt_cache()) {
+    return cache->solve(instance, alpha, params);
+  }
+  return detail::solve_fractional_opt_uncached(instance, alpha, params);
+}
+
+namespace detail {
+
+ConvexOptResult solve_fractional_opt_uncached(const Instance& instance, double alpha,
+                                              const ConvexOptParams& params) {
+  if (instance.empty()) return {};
+  const double horizon = checked_horizon(instance, alpha, params);
+  return single_density(instance) ? water_fill(instance, alpha, params, horizon)
+                                  : fista(instance, alpha, params, horizon);
+}
+
+ConvexOptResult solve_fractional_opt_fista(const Instance& instance, double alpha,
+                                           const ConvexOptParams& params) {
+  if (instance.empty()) return {};
+  return fista(instance, alpha, params, checked_horizon(instance, alpha, params));
 }
 
 }  // namespace detail

@@ -11,8 +11,21 @@
 
 namespace speedscale {
 
+// A zero step after an event never grows, and a run records empty segments
+// up to the cap; a non-positive growth keeps every step at the minimum.
+void detail::check_step_params(double step_growth, double min_step, long max_steps) {
+  if (!(min_step > 0.0) || !std::isfinite(min_step)) {
+    throw ModelError("custom-policy engine: min_step must be finite and positive");
+  }
+  if (!(step_growth > 0.0) || !std::isfinite(step_growth)) {
+    throw ModelError("custom-policy engine: step_growth must be finite and positive");
+  }
+  if (max_steps < 1) throw ModelError("custom-policy engine: max_steps must be at least 1");
+}
+
 RunResult run_custom_policy(const Instance& instance, double alpha, const SpeedPolicy& policy,
                             const CustomPolicyParams& params) {
+  detail::check_step_params(params.step_growth, params.min_step, params.max_steps);
   RunResult out(alpha);
   if (instance.empty()) return out;
   const PowerLawKinematics kin(alpha);

@@ -65,8 +65,10 @@ struct CustomPolicyParams {
 /// Runs `policy` on `instance` with P(s) = s^alpha.  The recorded schedule
 /// is piecewise constant in speed; metrics are exact for the recording.
 /// `online` accumulates the same objective step by step.  Throws ModelError
-/// if the policy picks an unreleased/completed job, returns a non-finite
-/// speed, idles forever while work remains or exceeds `max_steps`.
+/// at once for a non-positive or non-finite `min_step` or `step_growth` or a
+/// `max_steps` below 1, and during the run if the policy picks an
+/// unreleased/completed job, returns a non-finite speed, idles forever while
+/// work remains or exceeds `max_steps`.
 [[nodiscard]] RunResult run_custom_policy(const Instance& instance, double alpha,
                                           const SpeedPolicy& policy,
                                           const CustomPolicyParams& params = {});
@@ -82,6 +84,11 @@ struct PolicyEngineSetup {
   /// Called at each release or completion, with st.time the event's time.
   std::function<void(const ObservableState&)> on_event;
 };
+
+/// Throws ModelError unless step_growth and min_step are finite and
+/// positive and max_steps is at least 1.  run_custom_policy and
+/// run_nc_nonuniform call it before anything else.
+void check_step_params(double step_growth, double min_step, long max_steps);
 
 /// The stepping engine behind run_custom_policy and run_nc_nonuniform, on a
 /// non-empty instance.  Segments carry the density of `ordered`'s job (the

@@ -192,6 +192,57 @@ TEST(CustomPolicy, StepCapThrowsFromBothEntryPoints) {
   EXPECT_NO_THROW((void)run_nc_nonuniform(inst, 2.0));
 }
 
+TEST(CustomPolicy, RejectsBadStepParametersAtOnce) {
+  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.5, 2.0, 1.0}});
+  const auto message = [](const auto& run) {
+    try {
+      run();
+    } catch (const ModelError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  struct Bad {
+    double step_growth = 0.05;
+    double min_step = 1e-6;
+    long max_steps = 1000;  // a small cap: an unchecked run hits it instead
+    const char* names;
+  };
+  const double nan = std::nan("");
+  for (const Bad& bad : {Bad{.min_step = 0.0, .names = "min_step"},
+                         Bad{.min_step = -1e-6, .names = "min_step"},
+                         Bad{.min_step = nan, .names = "min_step"},
+                         Bad{.min_step = kInf, .names = "min_step"},
+                         Bad{.step_growth = 0.0, .names = "step_growth"},
+                         Bad{.step_growth = -1.0, .names = "step_growth"},
+                         Bad{.step_growth = nan, .names = "step_growth"},
+                         Bad{.step_growth = kInf, .names = "step_growth"},
+                         Bad{.max_steps = 0, .names = "max_steps must"},
+                         Bad{.max_steps = -5, .names = "max_steps must"}}) {
+    SCOPED_TRACE(std::string(bad.names) + " " + std::to_string(bad.step_growth) + " " +
+                 std::to_string(bad.min_step) + " " + std::to_string(bad.max_steps));
+    int calls = 0;
+    const std::string custom = message([&] {
+      (void)run_custom_policy(inst, 2.0,
+                              [&](const ObservableState& st) {
+                                ++calls;
+                                return PolicyDecision{fifo_pick(st), 1.0};
+                              },
+                              {.step_growth = bad.step_growth,
+                               .min_step = bad.min_step,
+                               .max_steps = bad.max_steps});
+    });
+    EXPECT_NE(custom.find(bad.names), std::string::npos) << custom;
+    EXPECT_EQ(calls, 0);
+    NCNonUniformParams nc;
+    nc.step_growth = bad.step_growth;
+    nc.min_step = bad.min_step;
+    nc.max_steps = bad.max_steps;
+    const std::string from_nc = message([&] { (void)run_nc_nonuniform(inst, 2.0, nc); });
+    EXPECT_EQ(from_nc, custom);
+  }
+}
+
 TEST(CustomPolicy, OnlineMatchesReplay) {
   const Instance inst = workload::generate({.n_jobs = 10, .arrival_rate = 1.2, .seed = 7});
   const double alpha = 2.0;

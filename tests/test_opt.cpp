@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/algo/algorithm_c.h"
@@ -343,7 +345,7 @@ TEST(ConvexOpt, JobMajorKernelMatchesSlotMajorReference) {
       ConvexOptParams params = c.params;
       params.max_iters = 400;
       const ConvexOptResult want = reference::solve(c.instance, alpha, params);
-      const ConvexOptResult got = detail::solve_fractional_opt_uncached(c.instance, alpha, params);
+      const ConvexOptResult got = detail::solve_fractional_opt_fista(c.instance, alpha, params);
       EXPECT_EQ(got.iterations, want.iterations);
       EXPECT_TRUE(same_bits(got.objective, want.objective))
           << got.objective << " vs " << want.objective;
@@ -362,6 +364,219 @@ TEST(ConvexOpt, RejectsNonPositiveSlotCount) {
   const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
   EXPECT_THROW((void)solve_fractional_opt(inst, 2.0, {.slots = 0}), ModelError);
   EXPECT_THROW((void)solve_fractional_opt(inst, 2.0, {.slots = -3}), ModelError);
+}
+
+TEST(ConvexOpt, RejectsBadParameters) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  // Both paths: one density (exact) and two (FISTA).
+  for (const Instance& inst :
+       {Instance({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.5, 2.0, 1.0}}),
+        Instance({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.5, 2.0, 3.0}})}) {
+    // A NaN horizon used to index a slot from ceil(NaN).
+    for (double horizon : {nan, inf, -1.0}) {
+      EXPECT_THROW((void)solve_fractional_opt(inst, 2.0, {.slots = 40, .horizon = horizon}),
+                   ModelError)
+          << horizon;
+    }
+    for (double weight : {nan, inf, 0.0, -1.0}) {
+      EXPECT_THROW(
+          (void)solve_fractional_opt(inst, 2.0, {.slots = 40, .energy_weight = weight}),
+          ModelError)
+          << weight;
+    }
+    // With an explicit horizon no Algorithm C run checks alpha first.
+    for (double alpha : {nan, inf, 1.0, 0.5, -2.0}) {
+      EXPECT_THROW((void)solve_fractional_opt(inst, alpha, {.slots = 40, .horizon = 10.0}),
+                   ModelError)
+          << alpha;
+      EXPECT_THROW((void)detail::solve_fractional_opt_fista(inst, alpha,
+                                                            {.slots = 40, .horizon = 10.0}),
+                   ModelError)
+          << alpha;
+    }
+    EXPECT_NO_THROW((void)solve_fractional_opt(inst, 2.0, {.slots = 40, .horizon = 0.0}));
+  }
+}
+
+/// Single-density shapes for the exact path: every edge it has to handle.
+struct ExactCase {
+  std::string name;
+  Instance instance;
+  ConvexOptParams params;
+};
+
+std::vector<ExactCase> exact_cases() {
+  std::vector<ExactCase> out;
+  out.push_back({"gen8", workload::generate({.n_jobs = 8, .seed = 31}), {.slots = 120}});
+  const Instance unit12 = workload::generate({.n_jobs = 12, .seed = 1000003});
+  for (std::size_t k : {1, 4, 12}) {
+    out.push_back({"unit12-p" + std::to_string(k),
+                   Instance(std::vector<Job>(unit12.jobs().begin(),
+                                             unit12.jobs().begin() + static_cast<long>(k))),
+                   {.slots = 240}});
+  }
+  out.push_back({"tied",
+                 Instance({Job{kNoJob, 0.0, 1.0, 2.0}, Job{kNoJob, 0.0, 2.0, 2.0},
+                           Job{kNoJob, 1.5, 0.5, 2.0}, Job{kNoJob, 1.5, 0.5, 2.0},
+                           Job{kNoJob, 1.5, 1.5, 2.0}}),
+                 {.slots = 90}});
+  // Horizon 10 over 20 slots: two releases past it share the last slot.
+  out.push_back({"past-horizon",
+                 Instance({Job{kNoJob, 0.0, 2.0, 1.0}, Job{kNoJob, 3.0, 1.0, 1.0},
+                           Job{kNoJob, 9.6, 0.25, 1.0}, Job{kNoJob, 12.0, 0.5, 1.0},
+                           Job{kNoJob, 40.0, 0.75, 1.0}}),
+                 {.slots = 20, .horizon = 10.0}});
+  out.push_back({"single", Instance({Job{kNoJob, 0.0, 1.0, 0.7}}), {.slots = 150}});
+  out.push_back({"horizon40", unit12, {.slots = 240, .horizon = 40.0}});
+  out.push_back({"weight0.25", unit12, {.slots = 240, .energy_weight = 0.25}});
+  // Volumes over 18 decades, one release group each.
+  std::vector<Job> spread;
+  for (int k = 0; k < 10; ++k) {
+    spread.push_back(Job{kNoJob, 0.7 * k, std::pow(10.0, 2 * k - 9), 1.0});
+  }
+  out.push_back({"volumes1e-9..1e9", Instance(spread), {.slots = 200, .horizon = 30.0}});
+  // Late releases: t_i and r_j near 1e7, their differences near 1.
+  std::vector<Job> late;
+  for (int k = 0; k < 8; ++k) late.push_back(Job{kNoJob, 1e7 + 0.9 * k, 1.0 + 0.1 * k, 1.5});
+  out.push_back({"t1e7", Instance(late), {.slots = 200, .horizon = 1e7 + 20.0}});
+  return out;
+}
+
+constexpr double kExactAlphas[] = {1.01, 1.5, 2.0, 3.0, 8.0};
+
+/// The exact optimum is never above FISTA's feasible point, and a long FISTA
+/// run approaches it.  The long run is no oracle at alpha = 1.01, where
+/// FISTA stalls up to 0.3% above the optimum, nor on "t1e7", where its
+/// unbounded step lets the projection lose the volume's digits; the dual
+/// test below covers both.
+TEST(ConvexOpt, ExactSingleDensityMatchesFista) {
+  for (const ExactCase& c : exact_cases()) {
+    for (double alpha : kExactAlphas) {
+      SCOPED_TRACE(c.name + " alpha=" + std::to_string(alpha));
+      const ConvexOptResult exact = solve_fractional_opt(c.instance, alpha, c.params);
+      const ConvexOptResult fista = detail::solve_fractional_opt_fista(c.instance, alpha, c.params);
+      const double scale = std::abs(fista.objective);
+      EXPECT_LE(exact.objective, fista.objective + 1e-12 * scale);
+      EXPECT_EQ(exact.horizon, fista.horizon);
+      EXPECT_EQ(exact.objective, c.params.energy_weight * exact.energy + exact.fractional_flow);
+      if (alpha < 1.5 || c.name == "t1e7") continue;
+      ConvexOptParams long_params = c.params;
+      long_params.max_iters = 1500;
+      long_params.rel_tol = -1.0;  // never stall: all 1500 iterations
+      const ConvexOptResult long_run =
+          detail::solve_fractional_opt_fista(c.instance, alpha, long_params);
+      EXPECT_LE(exact.objective, long_run.objective + 1e-12 * scale);
+      EXPECT_NEAR(exact.objective, long_run.objective, 1e-8 * scale);
+    }
+  }
+}
+
+/// The Lagrangian dual of the grid program at multipliers read off the exact
+/// solution's slot speeds: each job's level is the least marginal cost
+/// w alpha s_i^(alpha-1) + rho t_i over its allowed slots.  Weak duality
+/// makes it a lower bound for any levels; it meets the primal only at the
+/// optimum.
+double lagrangian_dual(const Instance& inst, double alpha, double weight,
+                       const ConvexOptResult& r) {
+  const int n_slots = static_cast<int>(r.slot_speed.size());
+  const double h = r.horizon / n_slots;
+  const double rho = inst.jobs().front().density;
+  const auto t = [&](int i) { return (static_cast<double>(i) + 0.5) * h; };
+  const auto first = [&](const Job& j) {
+    return std::min(static_cast<int>(std::ceil(j.release / h - 1e-12)), n_slots - 1);
+  };
+  std::vector<double> marginal(static_cast<std::size_t>(n_slots));
+  for (int i = 0; i < n_slots; ++i) {
+    const double s = r.slot_speed[static_cast<std::size_t>(i)];
+    marginal[static_cast<std::size_t>(i)] =
+        (s > 0.0 ? weight * alpha * std::pow(s, alpha - 1.0) : 0.0) + rho * t(i);
+  }
+  // Level per slot: the largest level among the jobs allowed there.
+  std::vector<double> top(static_cast<std::size_t>(n_slots), -std::numeric_limits<double>::infinity());
+  double dual = 0.0;
+  for (const Job& j : inst.jobs()) {
+    const int f = first(j);
+    const double level = *std::min_element(marginal.begin() + f, marginal.end());
+    dual += (level - rho * j.release) * j.volume;
+    for (int i = f; i < n_slots; ++i) {
+      top[static_cast<std::size_t>(i)] = std::max(top[static_cast<std::size_t>(i)], level);
+    }
+  }
+  // Each slot's min over sigma >= 0 of w h (sigma/h)^alpha + (rho t_i - top_i) sigma.
+  for (int i = 0; i < n_slots; ++i) {
+    const double gain = top[static_cast<std::size_t>(i)] - rho * t(i);
+    if (!(gain > 0.0)) continue;
+    const double s = std::pow(gain / (weight * alpha), 1.0 / (alpha - 1.0));
+    dual -= h * s * gain * (alpha - 1.0) / alpha;
+  }
+  return dual;
+}
+
+TEST(ConvexOpt, ExactSingleDensityMeetsItsLagrangianDual) {
+  for (const ExactCase& c : exact_cases()) {
+    for (double alpha : kExactAlphas) {
+      SCOPED_TRACE(c.name + " alpha=" + std::to_string(alpha));
+      const ConvexOptResult r = solve_fractional_opt(c.instance, alpha, c.params);
+      const double dual = lagrangian_dual(c.instance, alpha, c.params.energy_weight, r);
+      EXPECT_NEAR(dual, r.objective, 1e-12 * std::abs(r.objective));
+    }
+  }
+}
+
+/// Late releases on a fine grid: t_i and r_j near 1e7 while t_i - r_j is a
+/// few units, where rho * sum t sigma - rho * sum r V would cancel about
+/// seven digits.  Every job's first slot is the last one, so the optimum is
+/// known: all volume there, each job's flow rho (t - r_j) V_j.
+TEST(ConvexOpt, ExactFlowKeepsItsDigitsAtLargeTimes) {
+  const int slots = 1'000'001;
+  const double horizon = 1e7 + 10.0;
+  const double h = horizon / slots;
+  const double t_last = (static_cast<double>(slots - 1) + 0.5) * h;
+  std::vector<Job> late;
+  double volume = 0.0, flow = 0.0;
+  for (int k = 0; k < 8; ++k) {
+    late.push_back(Job{kNoJob, 1e7 + 0.5 * k, 1.0 + 0.1 * k, 1.5});
+    volume += late.back().volume;
+    flow += 1.5 * (t_last - late.back().release) * late.back().volume;
+  }
+  ASSERT_LT(std::abs(flow), 1e2 * volume);  // the cancelling regime
+  for (double alpha : kExactAlphas) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    const ConvexOptResult r =
+        solve_fractional_opt(Instance(late), alpha, {.slots = slots, .horizon = horizon});
+    EXPECT_NEAR(r.fractional_flow, flow, 1e-13 * std::abs(flow));
+    EXPECT_NEAR(r.energy, h * std::pow(volume / h, alpha), 1e-13 * r.energy);
+  }
+}
+
+/// The exact schedule is feasible: non-negative speeds, no slot before the
+/// first release slot, no prefix holding more than was released into it,
+/// and the whole volume done.
+TEST(ConvexOpt, ExactSingleDensityIsFeasible) {
+  for (const ExactCase& c : exact_cases()) {
+    for (double alpha : kExactAlphas) {
+      SCOPED_TRACE(c.name + " alpha=" + std::to_string(alpha));
+      const ConvexOptResult r = solve_fractional_opt(c.instance, alpha, c.params);
+      const int n_slots = static_cast<int>(r.slot_speed.size());
+      ASSERT_EQ(n_slots, c.params.slots);
+      const double h = r.horizon / n_slots;
+      std::vector<double> released(static_cast<std::size_t>(n_slots) + 1, 0.0);
+      for (const Job& j : c.instance.jobs()) {
+        const int f = std::min(static_cast<int>(std::ceil(j.release / h - 1e-12)), n_slots - 1);
+        released[static_cast<std::size_t>(f) + 1] += j.volume;
+      }
+      double done = 0.0, avail = 0.0;
+      for (int i = 0; i < n_slots; ++i) {
+        const double s = r.slot_speed[static_cast<std::size_t>(i)];
+        EXPECT_GE(s, 0.0);
+        avail += released[static_cast<std::size_t>(i) + 1];
+        done += s * h;
+        EXPECT_LE(done, avail * (1.0 + 1e-12)) << "slot " << i;
+      }
+      EXPECT_NEAR(done, c.instance.total_volume(), 1e-12 * c.instance.total_volume());
+    }
+  }
 }
 
 TEST(ConvexOpt, EmptyInstance) {
