@@ -7,20 +7,12 @@
 // observability disabled, metrics-only, and full tracing into a ring buffer —
 // so the disabled rows can be compared against the seed bench_perf numbers
 // (<2% is the budget; measured numbers live in EXPERIMENTS.md).
-//
-// E23 adds the live telemetry plane: _SampledHub runs the same NC-uniform
-// loop with a TelemetryHub sampler thread scraping the registry every 10 ms
-// (vs _MetricsOnly = same loop, no sampler; the <2% budget in ISSUE 6), and
-// BM_TelemetrySampleTick / BM_PrometheusExposition price one sample and one
-// scrape so the period can be chosen from data.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <memory>
 
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_uniform.h"
-#include "src/obs/live/telemetry_hub.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/workload/generators.h"
@@ -102,54 +94,6 @@ void BM_AlgorithmNCUniform_FullTrace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AlgorithmNCUniform_FullTrace)->Arg(1024)->Arg(4096);
-
-// The _MetricsOnly loop with a live TelemetryHub sampling the registry at a
-// 10 ms period (aggressive vs the 250 ms default) on its own thread.  The
-// delta vs BM_AlgorithmNCUniform_MetricsOnly is the whole sampler tax on the
-// simulation hot path; the <2% budget is asserted in EXPERIMENTS.md E23.
-void BM_AlgorithmNCUniform_SampledHub(benchmark::State& state) {
-  const Instance inst = make_uniform(static_cast<int>(state.range(0)));
-  obs::set_metrics_enabled(true);
-  obs::live::TelemetryOptions topts;
-  topts.period = std::chrono::milliseconds(10);
-  topts.publish_sweep_gauges = false;
-  obs::live::TelemetryHub hub(topts);
-  hub.start();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_nc_uniform(inst, 2.0));
-  }
-  hub.stop();
-  obs::set_metrics_enabled(false);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AlgorithmNCUniform_SampledHub)->Arg(1024)->Arg(4096);
-
-// One hub sample tick in isolation: snapshot the whole registry (as
-// populated by a realistic run), push rings, update rates/quantiles.  This
-// is the work the sampler thread does once per period.
-void BM_TelemetrySampleTick(benchmark::State& state) {
-  obs::set_metrics_enabled(true);
-  (void)run_nc_uniform(make_uniform(1024), 2.0);  // populate the registry
-  obs::live::TelemetryOptions topts;
-  topts.publish_sweep_gauges = false;
-  obs::live::TelemetryHub hub(topts);
-  for (auto _ : state) {
-    hub.sample_now();
-  }
-  obs::set_metrics_enabled(false);
-}
-BENCHMARK(BM_TelemetrySampleTick);
-
-// One /metrics scrape body render (registry snapshot -> Prometheus text).
-void BM_PrometheusExposition(benchmark::State& state) {
-  obs::set_metrics_enabled(true);
-  (void)run_nc_uniform(make_uniform(1024), 2.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(obs::live::prometheus_exposition());
-  }
-  obs::set_metrics_enabled(false);
-}
-BENCHMARK(BM_PrometheusExposition);
 
 // The raw cost of a dormant site, isolated: one TRACE_EVENT and one
 // OBS_COUNT in a loop with tracing and metrics off.  Expect ~1 ns/iter.

@@ -1,51 +1,23 @@
-// Datacenter cluster: scheduling on identical parallel machines (Section 6),
-// and the repo's live-telemetry demo.
+// Datacenter cluster: scheduling on identical parallel machines (Section 6).
 //
-// Default (no flags): the one-shot comparison the example always printed —
 //  * without immediate dispatch, NC-PAR (global FIFO queue + per-machine
 //    Algorithm NC speeds) matches the clairvoyant greedy dispatcher C-PAR
 //    job-for-job and is O(alpha)-competitive (Theorem 17);
 //  * with immediate dispatch, ANY deterministic non-clairvoyant dispatcher
 //    gets fooled by the Omega(k^{1-1/alpha}) adversary.
 //
-// With --serve-metrics, the example becomes a long-running simulated
-// cluster: each round generates a fresh workload, runs NC-PAR vs C-PAR,
-// certifies a single-machine NC run (certificate slack published as
-// cluster.cert.* gauges), and the live telemetry plane (src/obs/live/)
-// serves /metrics, /snapshot.json and /series.json while it simulates.
-// SIGINT/SIGTERM shut everything down cleanly (exit 0) — the contract the
-// CI telemetry smoke test asserts.
-//
-//   datacenter_cluster --serve-metrics 0 --port-file /tmp/addr --rounds 0
-//   telemetry_tool --connect $(cat /tmp/addr) --watch
-#include <chrono>
+// Usage: datacenter_cluster (no arguments).
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <ostream>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "src/algo/algorithm_nc_uniform.h"
 #include "src/algo/dispatch.h"
 #include "src/algo/parallel.h"
-#include "src/obs/cert/potential_tracker.h"
-#include "src/obs/live/telemetry_hub.h"
-#include "src/obs/live/telemetry_server.h"
-#include "src/obs/metrics_registry.h"
-#include "src/obs/trace.h"
-#include "src/robust/atomic_io.h"
 #include "src/workload/generators.h"
 
 using namespace speedscale;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_signal(int) { g_stop = 1; }
 
 int run_demo() {
   const double alpha = 2.0;
@@ -91,124 +63,12 @@ int run_demo() {
   return 0;
 }
 
-/// One simulated round: fresh workload, NC-PAR vs C-PAR, a certified
-/// single-machine NC run.  Publishes cluster.* gauges and bumps the
-/// cluster.rounds / cluster.jobs_simulated counters.
-void simulate_round(long round, double alpha, int k) {
-  const Instance inst = workload::generate({.n_jobs = 48,
-                                            .arrival_rate = 4.0 + 0.5 * static_cast<double>(round % 5),
-                                            .seed = 31 + static_cast<std::uint64_t>(round)});
-  const ParallelRun nc = run_nc_par(inst, alpha, k);
-  const ParallelRun c = run_c_par(inst, alpha, k);
-
-  obs::MetricsRegistry& reg = obs::registry();
-  reg.counter("cluster.rounds").add(1);
-  reg.counter("cluster.jobs_simulated").add(static_cast<std::int64_t>(inst.size()));
-  reg.gauge("cluster.machines").set(static_cast<double>(k));
-  reg.gauge("cluster.round_jobs").set(static_cast<double>(inst.size()));
-  reg.gauge("cluster.energy_nc").set(nc.metrics.energy);
-  reg.gauge("cluster.frac_flow_ratio")
-      .set(nc.metrics.fractional_flow / c.metrics.fractional_flow);
-
-  // Certificate slack, live: capture a single-machine NC run on this
-  // thread (exclusive capture — the sampler thread never sees the events)
-  // and replay it through the potential-function ledger.
-  obs::RingBufferSink ring(1 << 14);
-  {
-    obs::ScopedThreadCapture capture(&ring);
-    (void)run_nc_uniform(inst, alpha);
-  }
-  obs::cert::CertOptions copts;
-  copts.opt_lb = obs::cert::OptLbMode::kSingleJob;
-  const obs::cert::CertificateLedger ledger = obs::cert::certify_events(ring.events(), alpha, copts);
-  reg.gauge("cluster.cert.records").set(static_cast<double>(ledger.records.size()));
-  reg.gauge("cluster.cert.violations").set(static_cast<double>(ledger.violations()));
-  reg.gauge("cluster.cert.min_slack_frac").set(ledger.min_slack_frac);
-  reg.gauge("cluster.cert.min_slack_int").set(ledger.min_slack_int);
-}
-
-int run_serve(const std::string& bind, const std::string& port_file, long rounds,
-              long period_ms, long round_sleep_ms, const std::string& jsonl_path) {
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-  obs::set_observability_enabled(true);
-
-  obs::live::TelemetryOptions topts;
-  topts.period = std::chrono::milliseconds(period_ms);
-  topts.jsonl_path = jsonl_path;
-  obs::live::TelemetryHub hub(topts);
-  hub.start();
-
-  obs::live::TelemetryServerOptions sopts;
-  sopts.bind = bind;
-  obs::live::TelemetryServer server(hub, sopts);
-  server.start();
-
-  std::printf("serving telemetry at %s (period %ld ms)\n", server.address().c_str(), period_ms);
-  std::printf("endpoints: /metrics /snapshot.json /series.json /healthz\n");
-  std::fflush(stdout);
-  if (!port_file.empty()) {
-    // Atomic write: a watcher polling for this file never reads a torn
-    // address (the CI smoke test does exactly that).
-    robust::atomic_write_file(port_file,
-                              [&](std::ostream& os) { os << server.address() << '\n'; });
-  }
-
-  const double alpha = 2.0;
-  const int k = 8;
-  long round = 0;
-  while (g_stop == 0 && (rounds == 0 || round < rounds)) {
-    simulate_round(round, alpha, k);
-    ++round;
-    for (long slept = 0; g_stop == 0 && slept < round_sleep_ms; slept += 10) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-
-  server.stop();
-  hub.stop();
-  std::printf("clean shutdown after %ld rounds (%llu scrapes served)\n", round,
-              static_cast<unsigned long long>(server.requests()));
-  return 0;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: datacenter_cluster [--serve-metrics BIND] [--port-file FILE]\n"
-               "                          [--rounds N] [--period-ms N] [--round-sleep-ms N]\n"
-               "                          [--telemetry-jsonl FILE]\n"
-               "  (no flags: the one-shot Section 6 demo)\n"
-               "  BIND: \"HOST:PORT\", bare \"PORT\" (0 = ephemeral), or \"unix:PATH\"\n"
-               "  --rounds 0 (default) simulates until SIGINT/SIGTERM\n");
-  return 2;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string bind, port_file, jsonl_path;
-  long rounds = 0, period_ms = 200, round_sleep_ms = 100;
-  bool serve = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--serve-metrics" && i + 1 < argc) {
-      serve = true;
-      bind = argv[++i];
-    } else if (arg == "--port-file" && i + 1 < argc) {
-      port_file = argv[++i];
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      rounds = std::atol(argv[++i]);
-    } else if (arg == "--period-ms" && i + 1 < argc) {
-      period_ms = std::atol(argv[++i]);
-    } else if (arg == "--round-sleep-ms" && i + 1 < argc) {
-      round_sleep_ms = std::atol(argv[++i]);
-    } else if (arg == "--telemetry-jsonl" && i + 1 < argc) {
-      jsonl_path = argv[++i];
-    } else {
-      return usage();
-    }
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: datacenter_cluster (no arguments)\n");
+    return 2;
   }
-  if (!serve) return run_demo();
-  if (period_ms < 1 || round_sleep_ms < 0 || rounds < 0) return usage();
-  return run_serve(bind, port_file, rounds, period_ms, round_sleep_ms, jsonl_path);
+  return run_demo();
 }

@@ -32,6 +32,8 @@
 // code 3 when any certificate has negative slack.
 // Run with no arguments to see a demo on a generated trace; --help for the
 // full flag reference (docs/observability.md has the long-form version).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -128,6 +130,18 @@ int usage(const char* complaint = nullptr, const char* flag = nullptr) {
   return 2;
 }
 
+/// Parses the whole of `text` as one finite number, locale-independently
+/// (std::from_chars, like the trace scanner).  Rejects trailing characters
+/// ("2x"), an empty value, and anything that overflows or is not finite.
+bool parse_finite(const std::string& text, double& out) {
+  const char* const last = text.data() + text.size();
+  double v = 0.0;
+  const auto [p, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || p != last || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
 /// Replays a recorded trace file (JSONL event stream or Chrome Trace Event
 /// Format — sniffed by parsing) into events plus the recorded alpha.
 obs::cert::ReplayedTrace replay_recorded_trace(const std::string& path) {
@@ -174,9 +188,13 @@ int main(int argc, char** argv) {
       if (arg == "--algo") {
         algo = val;
       } else if (arg == "--alpha") {
-        alpha = std::stod(val);
+        if (!parse_finite(val, alpha) || !(alpha > 1.0)) {
+          return usage("--alpha takes a finite number > 1", val.c_str());
+        }
       } else if (arg == "--speed") {
-        speed = std::stod(val);
+        if (!parse_finite(val, speed) || !(speed > 0.0)) {
+          return usage("--speed takes a finite number > 0", val.c_str());
+        }
       } else if (arg == "--out") {
         out_path = val;
       } else if (arg == "--profile") {

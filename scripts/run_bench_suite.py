@@ -45,15 +45,12 @@ import tempfile
 
 SCHEMA = "speedscale.bench_ledger/1"
 
-# (binary, pinned --benchmark_filter): the google-benchmark half.  The
-# bench_obs_overhead rows include the sampled-vs-unsampled live-telemetry
-# overhead evidence (E23).
+# (binary, pinned --benchmark_filter): the google-benchmark half.
 GBENCH_SUITES = [
     ("bench_perf", "^BM_AlgorithmC/1024$|^BM_AlgorithmNCUniform/1024$|^BM_NCNonUniform/8$"),
     ("bench_obs_overhead",
      "^BM_AlgorithmC_ObsDisabled/1024$|^BM_AlgorithmNCUniform_ObsDisabled/1024$"
-     "|^BM_AlgorithmNCUniform_MetricsOnly/1024$|^BM_AlgorithmNCUniform_SampledHub/1024$"
-     "|^BM_TelemetrySampleTick$|^BM_PrometheusExposition$"),
+     "|^BM_AlgorithmNCUniform_MetricsOnly/1024$"),
     ("bench_robust_overhead",
      "^BM_GuardedEngine_CleanPath/8$|^BM_NumericEngine_NoPlan/8$|^BM_GuardedEngine_FaultRetry/8$"),
 ]

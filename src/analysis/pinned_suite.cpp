@@ -1,6 +1,5 @@
 #include "src/analysis/pinned_suite.h"
 
-#include <chrono>
 #include <cstdint>
 
 #include "src/algo/algorithm_c.h"
@@ -12,7 +11,6 @@
 #include "src/core/power.h"
 #include "src/numerics/roots.h"
 #include "src/obs/cert/potential_tracker.h"
-#include "src/obs/live/telemetry_hub.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/robust/guarded_engine.h"
@@ -125,21 +123,6 @@ std::vector<PinnedBench> build_pinned_suite() {
            (void)numerics::find_root_increasing(
                [target](double x) { return x * x * x - target; }, 0.0, 0.5, 1e-12);
          }
-       }},
-      {"live.nc_uniform_sampled/256",
-       [] {
-         // NC-uniform with the live telemetry sampler scraping the registry
-         // at 1 ms (src/obs/live/).  The hub writes gauges only, so the
-         // shard's counter delta must pin exactly the same work counters as
-         // an unsampled run — the committed proof that live telemetry is
-         // unobservable in the deterministic half of the ledger.
-         obs::live::TelemetryOptions topts;
-         topts.period = std::chrono::milliseconds(1);
-         topts.publish_sweep_gauges = false;
-         obs::live::TelemetryHub hub(topts);
-         hub.start();
-         (void)run_nc_uniform(make_uniform(256, 9), kAlpha);
-         hub.stop();
        }},
       // The streaming engine (PR 10): pinned synthetic streams through
       // src/engine/.  The engine batches its engine.stream.* counters once

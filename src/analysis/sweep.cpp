@@ -1,36 +1,14 @@
 #include "src/analysis/sweep.h"
 
-#include <chrono>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "src/analysis/thread_pool.h"
 #include "src/obs/json_util.h"
-#include "src/obs/live/straggler.h"
 #include "src/obs/shard_scope.h"
 #include "src/opt/opt_cache.h"
-#include "src/robust/fault_injection.h"
 
 namespace speedscale::analysis {
-
-namespace {
-
-/// Claims the heartbeat plane for the outermost sweep (nested sweeps report
-/// nothing) and releases it on every exit path — including the rethrow of a
-/// failed item at wait_idle().
-struct HeartbeatGuard {
-  bool owner;
-  HeartbeatGuard(std::size_t n, std::size_t workers)
-      : owner(obs::live::SweepHeartbeats::instance().begin_sweep(n, workers)) {}
-  ~HeartbeatGuard() {
-    if (owner) obs::live::SweepHeartbeats::instance().end_sweep();
-  }
-  HeartbeatGuard(const HeartbeatGuard&) = delete;
-  HeartbeatGuard& operator=(const HeartbeatGuard&) = delete;
-};
-
-}  // namespace
 
 SweepScheduler::SweepScheduler(const SweepOptions& options) : options_(options) {}
 
@@ -39,19 +17,7 @@ std::vector<std::map<std::string, std::int64_t>> SweepScheduler::run(
   std::vector<std::map<std::string, std::int64_t>> deltas(n);
   {
     ThreadPool pool(options_.jobs);
-    // Live heartbeats for the scrape endpoint: wall-clock only, published as
-    // gauges — no effect on any counter delta, so the determinism contract
-    // below is unchanged.
-    HeartbeatGuard heartbeats(n, pool.size());
-    auto& hb = obs::live::SweepHeartbeats::instance();
     parallel_for(pool, n, [&](std::size_t i) {
-      std::size_t slot = 0;
-      if (heartbeats.owner) slot = hb.item_started(i);
-      // Injected straggler (tests): stall this item long enough for the
-      // detector to flag the shard.  Pure wall time, no counter effect.
-      if (robust::fault_fire(robust::FaultSite::kSweepItemStall)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
-      }
       // Shard isolation: counters divert into this item's private scope, and
       // OPT solves memoize in this item's private cache — so what the item
       // records depends only on the item, never on sibling scheduling.
@@ -66,7 +32,6 @@ std::vector<std::map<std::string, std::int64_t>> SweepScheduler::run(
       bind.reset();
       scope.stop();
       deltas[i] = scope.counters();
-      if (heartbeats.owner) hb.item_finished(slot);
     });
     // parallel_for rethrows the first item failure here, before any merge:
     // a failed sweep contributes nothing to the ledger.

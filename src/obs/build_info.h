@@ -1,15 +1,15 @@
 // Build identity: which binary produced this artifact.
 //
-// Every serialized artifact (metric snapshots, bench ledgers, the Prometheus
-// exposition) embeds the same small build_info record — git hash, compiler,
-// build type, and how the power-law alpha is configured — so a committed
-// BENCH_*.json or a scraped snapshot is self-identifying: you can tell
-// whether two artifacts came from comparable binaries without consulting CI
-// logs.
+// Every serialized artifact (metric snapshots, bench ledgers, run reports)
+// embeds the same small build_info record — git hash, compiler, build type,
+// and how the power-law alpha is configured — so a committed BENCH_*.json or
+// a saved snapshot is self-identifying: you can tell whether two artifacts
+// came from comparable binaries without consulting CI logs.
 //
-// The git hash is captured at CMake configure time and compiled into this
-// translation unit only (src/CMakeLists.txt), so committing does not rebuild
-// the world; a stale hash means "reconfigure", not "broken".
+// The git hash is read at build time by the speedscale_git_hash target
+// (src/obs/write_git_hash.cmake), which rewrites its generated header only
+// when the hash changed: a commit recompiles this translation unit alone, and
+// an incremental build after a commit reports the new hash.
 #pragma once
 
 #include <string>

@@ -46,27 +46,6 @@ void Histogram::reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-double HistogramSnapshot::quantile(double q) const {
-  if (count <= 0 || counts.empty() || bounds.empty()) return 0.0;
-  q = std::max(0.0, std::min(1.0, q));
-  const double target = q * static_cast<double>(count);
-  std::int64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const std::int64_t prev = cum;
-    cum += counts[i];
-    // Empty buckets carry no mass: skipping them keeps the interpolation
-    // inside a populated bucket (q = 0 against a single populated bucket used
-    // to report the *first* bucket's upper bound, below every observation).
-    if (counts[i] <= 0 || static_cast<double>(cum) < target) continue;
-    if (i >= bounds.size()) return bounds.back();  // overflow bucket: clamp
-    const double lo = (i == 0) ? 0.0 : bounds[i - 1];
-    const double hi = bounds[i];
-    const double frac = (target - static_cast<double>(prev)) / static_cast<double>(counts[i]);
-    return lo + frac * (hi - lo);
-  }
-  return bounds.back();
-}
-
 // --- MetricsRegistry --------------------------------------------------------
 
 MetricsRegistry& MetricsRegistry::instance() {
@@ -101,22 +80,6 @@ std::map<std::string, std::int64_t> MetricsRegistry::counter_values() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::map<std::string, std::int64_t> out;
   for (const auto& [name, c] : counters_) out[name] = c->value();
-  return out;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  MetricsSnapshot out;
-  for (const auto& [name, c] : counters_) out.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) out.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.bounds = h->upper_bounds();
-    hs.counts = h->bucket_counts();
-    hs.count = h->count();
-    hs.sum = h->sum();
-    out.histograms.emplace(name, std::move(hs));
-  }
   return out;
 }
 

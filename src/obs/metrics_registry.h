@@ -73,29 +73,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Point-in-time copy of one histogram: bucket bounds, per-bucket counts
-/// (counts.size() == bounds.size() + 1, last = overflow), total count, sum.
-struct HistogramSnapshot {
-  std::vector<double> bounds;
-  std::vector<std::int64_t> counts;
-  std::int64_t count = 0;
-  double sum = 0.0;
-
-  /// Streaming quantile estimate (q in [0,1]) by linear interpolation inside
-  /// the covering bucket; assumes non-negative observations (the registry's
-  /// histograms are latencies/sizes).  The overflow bucket clamps to the last
-  /// finite bound.  Returns 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
-};
-
-/// Point-in-time copy of every metric, for consumers that walk the registry
-/// off the hot path (the live telemetry sampler, the Prometheus exposition).
-struct MetricsSnapshot {
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
-};
-
 /// Process-wide name -> metric map.  Get-or-create; references are stable.
 class MetricsRegistry {
  public:
@@ -110,11 +87,6 @@ class MetricsRegistry {
   /// Every counter's current value, sorted by name.  The deterministic
   /// work-counter signal the bench ledger records (src/obs/perf/).
   [[nodiscard]] std::map<std::string, std::int64_t> counter_values() const;
-
-  /// Copies every metric's current value under one registry lock.  The copy
-  /// is consistent per metric (each value is one relaxed load), not across
-  /// metrics — exactly the semantics a periodic sampler needs.
-  [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Serializes every metric as one JSON object:
   ///   {"build_info":{...},"counters":{...},"gauges":{...},"histograms":{...}}

@@ -127,21 +127,10 @@ void JsonlSink::append_locked(const char* data, std::size_t n) {
   os_->write(data, static_cast<std::streamsize>(n));
   ++lines_;
   ++lines_since_flush_;
-  bool do_flush = false;
-  switch (policy_.mode) {
-    case FlushPolicy::Mode::kManual:
-      break;
-    case FlushPolicy::Mode::kEveryN:
-      do_flush = policy_.every_n > 0 && lines_since_flush_ >= policy_.every_n;
-      break;
-    case FlushPolicy::Mode::kTimed:
-      do_flush = std::chrono::steady_clock::now() - last_flush_ >= policy_.interval;
-      break;
-  }
-  if (do_flush) {
+  if (policy_.mode == FlushPolicy::Mode::kEveryN && policy_.every_n > 0 &&
+      lines_since_flush_ >= policy_.every_n) {
     os_->flush();
     lines_since_flush_ = 0;
-    last_flush_ = std::chrono::steady_clock::now();
   }
 }
 
@@ -167,14 +156,12 @@ void JsonlSink::flush() {
   std::lock_guard<std::mutex> lk(mu_);
   if (os_ != nullptr) os_->flush();
   lines_since_flush_ = 0;
-  last_flush_ = std::chrono::steady_clock::now();
 }
 
 void JsonlSink::set_flush_policy(FlushPolicy policy) {
   std::lock_guard<std::mutex> lk(mu_);
   policy_ = policy;
   lines_since_flush_ = 0;
-  last_flush_ = std::chrono::steady_clock::now();
 }
 
 void JsonlSink::close() {

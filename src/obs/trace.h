@@ -22,7 +22,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -105,21 +104,18 @@ class RingBufferSink : public TraceSink {
 ///
 /// Flush policy: by default the sink flushes only when a caller asks
 /// (flush() — e.g. the certificate tracker's checkpoint cadence) or at
-/// close().  Long-running producers pick an automatic policy instead:
-/// kEveryN flushes after every N lines, kTimed after `interval` has elapsed
-/// since the last flush — so a killed process still leaves a near-current
-/// ".tmp" stream behind (the crash-survival contract).
+/// close().  Long-running producers pick kEveryN instead, which flushes after
+/// every N lines — so a killed process still leaves a near-current ".tmp"
+/// stream behind (the crash-survival contract).
 class JsonlSink : public TraceSink {
  public:
   struct FlushPolicy {
     enum class Mode : std::uint8_t {
       kManual,  ///< explicit flush()/close() only (the historical behavior)
       kEveryN,  ///< flush once every `every_n` appended lines
-      kTimed,   ///< flush when `interval` has passed since the last flush
     };
     Mode mode = Mode::kManual;
     std::size_t every_n = 64;
-    std::chrono::milliseconds interval{1000};
   };
 
   explicit JsonlSink(std::ostream& os);
@@ -127,9 +123,10 @@ class JsonlSink : public TraceSink {
   ~JsonlSink() override;
 
   void on_event(const TraceEvent& ev) override;
-  /// Appends one pre-serialized line (a trailing '\n' is added).  The live
-  /// telemetry hub streams its time-series samples through this, reusing the
-  /// crash-safe tmp-then-rename machinery and the flush policy.
+  /// Appends one pre-serialized line (a trailing '\n' is added).  The
+  /// segment recorder's spill (src/engine/segment_recorder.h) streams its
+  /// records through this, reusing the crash-safe tmp-then-rename machinery
+  /// and the flush policy.
   void write_line(const std::string& json_line);
   void flush() override;
   void set_flush_policy(FlushPolicy policy);
@@ -149,7 +146,6 @@ class JsonlSink : public TraceSink {
   std::string final_path_;  // non-empty iff path mode and not yet committed
   FlushPolicy policy_;
   std::size_t lines_since_flush_ = 0;
-  std::chrono::steady_clock::time_point last_flush_ = std::chrono::steady_clock::now();
 };
 
 /// Per-kind counts and the covered time range; for quick human inspection.

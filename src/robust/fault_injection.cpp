@@ -14,8 +14,6 @@ const char* fault_site_name(FaultSite site) {
       return "trace_line";
     case FaultSite::kPoolTask:
       return "pool_task";
-    case FaultSite::kSweepItemStall:
-      return "sweep_item_stall";
     case FaultSite::kSiteCount:
       break;
   }

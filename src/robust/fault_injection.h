@@ -30,7 +30,6 @@ enum class FaultSite : std::uint8_t {
   kRootBracket,     ///< root finders: pretend the bracket has equal signs
   kTraceLine,       ///< trace writer: truncate/corrupt one CSV line
   kPoolTask,        ///< thread pool: throw from one task body
-  kSweepItemStall,  ///< sweep scheduler: stall one item (straggler tests)
   kSiteCount,       // sentinel
 };
 

@@ -1,29 +1,41 @@
 // Tests for the observability subsystem (src/obs/): event tracing sinks,
 // the metrics registry, the profiler, and their thread-safety under the
 // analysis thread pool (all three pillars are hammered from concurrent
-// workers and must produce exact totals).
+// workers and must produce exact totals); the build identity every snapshot
+// carries; and the JsonlSink flush policy the segment recorder's spill uses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <clocale>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/thread_pool.h"
+#include "src/obs/build_info.h"
 #include "src/obs/json_min.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
+#include "src/robust/atomic_io.h"
 
 namespace speedscale {
 namespace {
 
 using obs::EventKind;
 using obs::TraceEvent;
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
 
 /// The tracer and registry are process-wide: every test starts and ends with
 /// both quiet so suites cannot leak state into each other.
@@ -337,6 +349,38 @@ TEST_F(ObsTest, ProfilerIsExactUnderConcurrentWorkers) {
   EXPECT_EQ(snap[0].count, kTasks);
   EXPECT_GE(snap[0].total_ns, 0);
   EXPECT_LE(snap[0].min_ns, snap[0].max_ns);
+}
+
+TEST(BuildInfo, SnapshotJsonIsSelfIdentifying) {
+  const obs::JsonValue doc = obs::parse_json(obs::registry().snapshot_json());
+  const obs::JsonValue& info = doc.at("build_info");
+  EXPECT_EQ(info.at("git_hash").string, obs::build_info().git_hash);
+  EXPECT_EQ(info.at("compiler").string, obs::build_info().compiler);
+  EXPECT_EQ(info.at("alpha_config").string, "runtime");
+  EXPECT_FALSE(info.at("cxx_standard").string.empty());
+}
+
+TEST(JsonlFlushPolicy, EveryNFlushesWithoutClose) {
+  const std::string path = ::testing::TempDir() + "flush_every_n.jsonl";
+  std::remove(path.c_str());
+  obs::JsonlSink sink(path);
+  obs::JsonlSink::FlushPolicy policy;
+  policy.mode = obs::JsonlSink::FlushPolicy::Mode::kEveryN;
+  policy.every_n = 2;
+  sink.set_flush_policy(policy);
+
+  sink.write_line("{\"n\":1}");
+  sink.write_line("{\"n\":2}");
+  sink.write_line("{\"n\":3}");
+  // No close(): the crash-survival contract — flushed lines must already be
+  // readable in the ".tmp" sibling.
+  const std::string tmp = read_file(robust::tmp_sibling(path));
+  std::size_t lines = 0;
+  for (const char c : tmp) lines += (c == '\n');
+  EXPECT_GE(lines, 2u) << "every-2 policy must have flushed the first two lines";
+  sink.close();
+  EXPECT_EQ(sink.lines(), 3u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
