@@ -31,6 +31,7 @@
 
 #include <chrono>
 
+#include "bench/cli_numbers.h"
 #include "src/engine/job_source.h"
 #include "src/engine/stream_engine.h"
 #include "src/obs/perf/bench_ledger.h"
@@ -113,7 +114,10 @@ std::string scale_label(std::uint64_t jobs) {
   return buf;
 }
 
-int usage() {
+int usage(const char* flag = nullptr, const char* value = nullptr) {
+  if (flag != nullptr) {
+    std::fprintf(stderr, "bench_engine_stream: bad %s value: %s\n\n", flag, value);
+  }
   std::fprintf(stderr,
                "usage: bench_engine_stream [--jobs N] [--machines K] [--reps R]\n"
                "                           [--record off|ring] [--ring-capacity N]\n"
@@ -132,40 +136,46 @@ int main(int argc, char** argv) {
   long ceiling_mb = 0, slack_mb = 64;
   std::uint64_t probe_every = 1 << 14;
   std::string json_path, name;
+  constexpr std::uint64_t kMaxCount = 1'000'000'000'000;  // jobs, probe spacing
+  constexpr long kMaxMb = 1 << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--machines" && i + 1 < argc) {
-      machines = std::atoi(argv[++i]);
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (arg == "--record" && i + 1 < argc) {
-      const std::string m = argv[++i];
+    const bool has_value = i + 1 < argc;
+    const char* const value = has_value ? argv[i + 1] : "";
+    bool ok = true;
+    if (arg == "--jobs" && has_value) {
+      ok = bench::parse_int_in<std::uint64_t>(value, 1, kMaxCount, jobs);
+    } else if (arg == "--machines" && has_value) {
+      ok = bench::parse_int_in(value, 1, 4096, machines);
+    } else if (arg == "--reps" && has_value) {
+      ok = bench::parse_int_in(value, 1, 1000, reps);
+    } else if (arg == "--record" && has_value) {
+      const std::string m = value;
       if (m == "off") {
         mode = engine::RecordMode::kOff;
       } else if (m == "ring") {
         mode = engine::RecordMode::kRing;
       } else {
-        return usage();
+        ok = false;
       }
-    } else if (arg == "--ring-capacity" && i + 1 < argc) {
-      ring_capacity = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--rss-ceiling-mb" && i + 1 < argc) {
-      ceiling_mb = std::atol(argv[++i]);
-    } else if (arg == "--rss-slack-mb" && i + 1 < argc) {
-      slack_mb = std::atol(argv[++i]);
-    } else if (arg == "--probe-every" && i + 1 < argc) {
-      probe_every = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--name" && i + 1 < argc) {
-      name = argv[++i];
+    } else if (arg == "--ring-capacity" && has_value) {
+      ok = bench::parse_int_in<std::size_t>(value, 1, std::size_t{1} << 30, ring_capacity);
+    } else if (arg == "--rss-ceiling-mb" && has_value) {
+      ok = bench::parse_int_in(value, 0L, kMaxMb, ceiling_mb);
+    } else if (arg == "--rss-slack-mb" && has_value) {
+      ok = bench::parse_int_in(value, 0L, kMaxMb, slack_mb);
+    } else if (arg == "--probe-every" && has_value) {
+      ok = bench::parse_int_in<std::uint64_t>(value, 1, kMaxCount, probe_every);
+    } else if (arg == "--json" && has_value) {
+      json_path = value;
+    } else if (arg == "--name" && has_value) {
+      name = value;
     } else {
       return usage();
     }
+    if (!ok) return usage(arg.c_str(), value);
+    ++i;
   }
-  if (jobs == 0 || machines < 1 || reps < 1 || probe_every == 0) return usage();
   if (name.empty()) name = "engine.stream/" + scale_label(jobs);
   // Steady state arrives well before 1/8 of the stream at the pinned load;
   // cap the warmup window so tiny --jobs runs still get a post-warmup phase.

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/cli_numbers.h"
 #include "src/analysis/pinned_suite.h"
 #include "src/analysis/sweep.h"
 #include "src/obs/build_info.h"
@@ -56,7 +57,10 @@ std::map<std::string, std::int64_t> nonzero(const std::map<std::string, std::int
   return out;
 }
 
-int usage() {
+int usage(const char* flag = nullptr, const char* value = nullptr) {
+  if (flag != nullptr) {
+    std::fprintf(stderr, "bench_suite_runner: bad %s value: %s\n\n", flag, value);
+  }
   std::fprintf(stderr,
                "usage: bench_suite_runner [--out ledger.json] [--reps N] [--quick]\n"
                "                          [--jobs N] [--filter SUBSTR] [--exclude SUBSTR]\n"
@@ -77,9 +81,12 @@ int main(int argc, char** argv) {
     if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      if (!bench::parse_int_in(argv[++i], 1, 100'000, reps)) return usage("--reps", argv[i]);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      // Workers; 0 is not accepted (it would mean hardware concurrency).
+      if (!bench::parse_int_in<std::size_t>(argv[++i], 1, 256, jobs)) {
+        return usage("--jobs", argv[i]);
+      }
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--filter" && i + 1 < argc) {

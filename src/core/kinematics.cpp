@@ -16,37 +16,13 @@ double PowerLawKinematics::speed_at_weight(double w) const {
 
 double PowerLawKinematics::decay_weight_after(double w0, double rho, double dt) const {
   if (w0 <= 0.0) return 0.0;
-  return decay_weight_after_pow(pow_b(w0), rho, dt);
+  return weight_from_pow(decay_pow_after(pow_b(w0), rho, dt));
 }
 
 double PowerLawKinematics::decay_time_to_weight(double w0, double w1, double rho) const {
   if (w1 > w0) throw ModelError("decay_time_to_weight: w1 must not exceed w0");
   if (w0 <= 0.0) return 0.0;
-  return decay_time_to_weight_pow(pow_b(w0), w1, rho);
-}
-
-double PowerLawKinematics::pow_b(double w) const { return std::pow(w, b_); }
-
-double PowerLawKinematics::weight_from_pow(double wb) const {
-  if (wb <= 0.0) return 0.0;
-  return std::pow(wb, 1.0 / b_);
-}
-
-// For w0 >= 0, w0^b <= 0 exactly when w0 <= 0 (w^b >= w for w <= 1, so it
-// cannot underflow), which is the plain forms' early return.
-double PowerLawKinematics::decay_pow_after(double w0b, double rho, double dt) const {
-  if (w0b <= 0.0) return 0.0;
-  return std::max(w0b - rho * b_ * dt, 0.0);
-}
-
-double PowerLawKinematics::decay_weight_after_pow(double w0b, double rho, double dt) const {
-  return weight_from_pow(decay_pow_after(w0b, rho, dt));
-}
-
-double PowerLawKinematics::decay_time_to_weight_pow(double w0b, double w1, double rho) const {
-  if (w0b <= 0.0) return 0.0;
-  const double w1c = std::max(w1, 0.0);
-  return (w0b - std::pow(w1c, b_)) / (rho * b_);
+  return band_time_pow(pow_b(std::max(w1, 0.0)), pow_b(w0), rho);
 }
 
 double PowerLawKinematics::decay_time_to_zero(double w0, double rho) const {
@@ -65,15 +41,12 @@ double PowerLawKinematics::decay_volume(double w0, double w1, double rho) {
 }
 
 double PowerLawKinematics::grow_weight_after(double u0, double rho, double dt) const {
-  const double u0c = std::max(u0, 0.0);
-  const double root = std::pow(u0c, b_) + rho * b_ * dt;
-  return std::pow(root, 1.0 / b_);
+  return weight_from_pow(grow_pow_after(pow_b(std::max(u0, 0.0)), rho, dt));
 }
 
 double PowerLawKinematics::grow_time_to_weight(double u0, double u1, double rho) const {
   if (u1 < u0) throw ModelError("grow_time_to_weight: u1 must be at least u0");
-  const double u0c = std::max(u0, 0.0);
-  return (std::pow(u1, b_) - std::pow(u0c, b_)) / (rho * b_);
+  return band_time_pow(pow_b(std::max(u0, 0.0)), pow_b(u1), rho);
 }
 
 double PowerLawKinematics::grow_integral(double u0, double u1, double rho) const {
@@ -83,13 +56,29 @@ double PowerLawKinematics::grow_integral(double u0, double u1, double rho) const
   return (std::pow(u1, p) - std::pow(u0c, p)) / (rho * p);
 }
 
-double PowerLawKinematics::grow_time_to_weight_pow(double u0b, double u1b, double rho) const {
-  return (u1b - u0b) / (rho * b_);
+double PowerLawKinematics::pow_b(double w) const { return std::pow(w, b_); }
+
+double PowerLawKinematics::weight_from_pow(double wb) const {
+  if (wb <= 0.0) return 0.0;
+  return std::pow(wb, 1.0 / b_);
 }
 
-double PowerLawKinematics::grow_integral_pow(double u0, double u0b, double u1, double u1b,
+double PowerLawKinematics::decay_pow_after(double w0b, double rho, double dt) const {
+  if (w0b <= 0.0) return 0.0;
+  return std::max(w0b - rho * b_ * dt, 0.0);
+}
+
+double PowerLawKinematics::grow_pow_after(double u0b, double rho, double dt) const {
+  return u0b + rho * b_ * dt;
+}
+
+double PowerLawKinematics::band_time_pow(double lo_b, double hi_b, double rho) const {
+  return (hi_b - lo_b) / (rho * b_);
+}
+
+double PowerLawKinematics::band_integral_pow(double lo, double lo_b, double hi, double hi_b,
                                              double rho) const {
-  return (u1 * u1b - u0 * u0b) / (rho * (1.0 + b_));
+  return (hi * hi_b - lo * lo_b) / (rho * (1.0 + b_));
 }
 
 double PowerLawKinematics::grow_volume(double u0, double u1, double rho) {

@@ -26,6 +26,12 @@
 // formulas, so for power-law P the runs are exact up to floating point;
 // this is what lets the tests check the paper's lemma-level *identities*
 // (Lemmas 3, 4, 6, 21, 22) to ~1e-9 instead of statistically.
+//
+// The hot kernels (CMachine, the metrics replay, StreamEngine) work in the
+// b-coordinate x = W^b itself: a trajectory moves x linearly, the energy is
+// (W0 x0 - W1 x1) / (rho (1+b)), and the only pow left is x^{1/b} where a
+// weight is read back (plus W^b after weight is added).  That is one or two
+// pow per event, piece or job where the plain forms take four to six.
 #pragma once
 
 #include "src/core/types.h"
@@ -55,19 +61,6 @@ class PowerLawKinematics {
 
   /// Time for the weight to fall from w0 to w1 (requires 0 <= w1 <= w0).
   [[nodiscard]] double decay_time_to_weight(double w0, double w1, double rho) const;
-
-  /// w^b, the coordinate in which the decay is linear.  An event loop that
-  /// needs both closed forms below from one start weight w0 >= 0 takes
-  /// w0^b once and passes it to the `_pow` forms, which then equal
-  /// decay_weight_after and decay_time_to_weight bit for bit.
-  [[nodiscard]] double pow_b(double w) const;
-  /// w from w^b: (w^b)^{1/b}, and 0 for wb <= 0 without calling pow.
-  [[nodiscard]] double weight_from_pow(double wb) const;
-  /// W^b after decaying for dt from w0^b, clamped at 0: the decay with no pow.
-  [[nodiscard]] double decay_pow_after(double w0b, double rho, double dt) const;
-  [[nodiscard]] double decay_weight_after_pow(double w0b, double rho, double dt) const;
-  /// Requires w1 <= w0 (not checked: w0 itself is not passed).
-  [[nodiscard]] double decay_time_to_weight_pow(double w0b, double w1, double rho) const;
 
   /// Time for the weight to fall from w0 to 0 (Lemma 2.2 rearranged).
   [[nodiscard]] double decay_time_to_zero(double w0, double rho) const;
@@ -100,14 +93,34 @@ class PowerLawKinematics {
   /// Volume processed while U grows from u0 to u1: (u1 - u0) / rho.
   [[nodiscard]] static double grow_volume(double u0, double u1, double rho);
 
-  /// The growth forms from u0^b and u1^b (u0b = pow_b(u0), u1b = pow_b(u1),
-  /// or the decayed W^b a tracker already holds): the time is linear in the
-  /// b-coordinate and u^{1+b} = u * u^b, so neither form calls pow.  They
-  /// agree with grow_time_to_weight / grow_integral to a few ulp but not bit
-  /// for bit, since u * u^b rounds differently from u^{1+b}.  Requires
-  /// u1 >= u0 >= 0 (not checked).
-  [[nodiscard]] double grow_time_to_weight_pow(double u0b, double u1b, double rho) const;
-  [[nodiscard]] double grow_integral_pow(double u0, double u0b, double u1, double u1b,
+  // --- The b-coordinate: both branches are linear in w^b ---
+  //
+  // An event loop that carries w^b next to w (the C kernel, the replay, the
+  // streaming engine) advances a trajectory with no pow and takes one pow
+  // only to read a weight back.  The plain forms above are these composed
+  // with pow_b, bit for bit, except the integrals (see band_integral_pow).
+
+  /// w^b, the coordinate in which both ODEs are linear.
+  [[nodiscard]] double pow_b(double w) const;
+  /// w from w^b: (w^b)^{1/b}, and 0 for wb <= 0 without calling pow.
+  [[nodiscard]] double weight_from_pow(double wb) const;
+  /// W^b after decaying for dt from w0^b, clamped at 0.  For w0 >= 0,
+  /// w0^b <= 0 exactly when w0 <= 0 (w^b >= w for w <= 1, so it cannot
+  /// underflow), which is decay_weight_after's early return.
+  [[nodiscard]] double decay_pow_after(double w0b, double rho, double dt) const;
+  /// U^b after growing for dt from u0^b (>= 0).
+  [[nodiscard]] double grow_pow_after(double u0b, double rho, double dt) const;
+
+  /// Time to sweep the weight band [lo, hi] at density rho, from its ends'
+  /// b-powers: (hi^b - lo^b) / (rho b).  Growth sweeps it upwards, decay
+  /// downwards, in the same time.  Requires hi >= lo >= 0 (not checked).
+  [[nodiscard]] double band_time_pow(double lo_b, double hi_b, double rho) const;
+  /// int W dt while the weight sweeps [lo, hi] in either direction, with
+  /// w^{1+b} formed as w * w^b: (hi hi^b - lo lo^b) / (rho (1+b)).  It is
+  /// decay_integral(hi, lo) and grow_integral(lo, hi) to a few ulp but not
+  /// bit for bit, since w * w^b rounds differently from pow(w, 1 + b).
+  /// Requires hi >= lo >= 0 (not checked).
+  [[nodiscard]] double band_integral_pow(double lo, double lo_b, double hi, double hi_b,
                                          double rho) const;
 
  private:

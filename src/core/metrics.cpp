@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
+
+#include "src/obs/metrics_registry.h"
 
 namespace speedscale {
 
 namespace {
+
+/// The largest weight a finished job may leave unprocessed in the replay,
+/// relative to the busy period it ran in.  Two roundings bound it.  The
+/// weight level is a running difference whose rounding is relative to the
+/// highest level of the busy period (a last tiny job can see 1e-7 of its own
+/// weight), and x^{1/b} magnifies x's rounding 1/b-fold (a hundredfold at
+/// alpha = 1.01): 1e-9 of that level is far above both.  And an absolute
+/// time t carries ulp(t), in which the machine processes density * speed *
+/// ulp(t): a stretch shorter than ulp(t) vanishes, and at t ~ 1e7 and
+/// alpha = 1.01 the weight it held reaches 1e-9 of the level by itself.
+constexpr double kLeftoverRelTol = 1e-9;
+constexpr double kLeftoverTimeUlps = 64.0;
 
 /// Energy and current-job flow contribution of one replay piece [a, b] that
 /// lies inside segment `seg`.
@@ -14,9 +32,56 @@ struct PieceIntegrals {
   double energy = 0.0;         ///< int_a^b P(s(t)) dt
   double delta_volume = 0.0;   ///< volume of seg.job processed in [a, b]
   double processed_time = 0.0; ///< int_a^b DeltaV(t) dt with DeltaV(a) = 0
+  double level = 0.0;          ///< top weight level of a power-law piece (0 otherwise)
+  double speed = 0.0;          ///< top speed of the piece
 };
 
-PieceIntegrals integrate_piece(const Schedule& sched, const PowerLawKinematics& kin,
+/// A power-law segment's pieces in the b-coordinate x = w^b, where the
+/// segment is linear in time: x = param^b -/+ rho b (t - t0).  param^b is
+/// taken once per segment, a piece starts at the level the previous piece of
+/// the segment ended on, and a piece from the segment's own t0 starts at
+/// param exactly, so a piece costs one pow: its end's w = x^{1/b}.
+class PowerLawCursor {
+ public:
+  explicit PowerLawCursor(const PowerLawKinematics& kin) : kin_(kin) {}
+
+  /// Weight level w and w^b at time t >= the last call's t on `seg`.
+  struct Level {
+    double w;
+    double wb;
+  };
+  Level at(const Segment& seg, double t) {
+    if (seg_ != &seg) {
+      seg_ = &seg;
+      t_ = seg.t0;
+      w_ = std::max(seg.param, 0.0);
+      wb_ = param_b_ = kin_.pow_b(w_);
+      ++pow_calls_;
+    }
+    if (t != t_) {
+      const double dt = t - seg.t0;
+      wb_ = seg.law == SpeedLaw::kPowerDecay ? kin_.decay_pow_after(param_b_, seg.rho, dt)
+                                             : kin_.grow_pow_after(param_b_, seg.rho, dt);
+      w_ = kin_.weight_from_pow(wb_);
+      if (wb_ > 0.0) ++pow_calls_;
+      t_ = t;
+    }
+    return {w_, wb_};
+  }
+
+  [[nodiscard]] std::int64_t pow_calls() const { return pow_calls_; }
+
+ private:
+  const PowerLawKinematics& kin_;
+  const Segment* seg_ = nullptr;
+  double param_b_ = 0.0;  ///< max(seg_->param, 0)^b
+  double t_ = 0.0;        ///< time of the cached level
+  double w_ = 0.0;
+  double wb_ = 0.0;
+  std::int64_t pow_calls_ = 0;
+};
+
+PieceIntegrals integrate_piece(PowerLawCursor& cursor, const PowerLawKinematics& kin,
                                const PowerFunction& power, const Segment& seg, double a,
                                double b) {
   PieceIntegrals out;
@@ -29,30 +94,88 @@ PieceIntegrals integrate_piece(const Schedule& sched, const PowerLawKinematics& 
       out.energy = power.power(s) * len;
       out.delta_volume = s * len;
       out.processed_time = 0.5 * s * len * len;
+      out.speed = s;
       break;
     }
     case SpeedLaw::kPowerDecay: {
-      const double wa = kin.decay_weight_after(seg.param, seg.rho, a - seg.t0);
-      const double wb = kin.decay_weight_after(seg.param, seg.rho, b - seg.t0);
-      const double int_w = kin.decay_integral(wa, wb, seg.rho);
+      const PowerLawCursor::Level wa = cursor.at(seg, a);
+      const PowerLawCursor::Level wb = cursor.at(seg, b);
+      const double int_w = kin.band_integral_pow(wb.w, wb.wb, wa.w, wa.wb, seg.rho);
       out.energy = int_w;  // P(s) = W under the P = W rule
-      out.delta_volume = PowerLawKinematics::decay_volume(wa, wb, seg.rho);
-      out.processed_time = (wa * len - int_w) / seg.rho;
+      out.delta_volume = PowerLawKinematics::decay_volume(wa.w, wb.w, seg.rho);
+      out.processed_time = (wa.w * len - int_w) / seg.rho;
+      out.level = wa.w;
+      out.speed = wa.wb > 0.0 ? wa.w / wa.wb : 0.0;  // w^{1/alpha} = w / w^b
       break;
     }
     case SpeedLaw::kPowerGrow: {
-      const double ua = kin.grow_weight_after(seg.param, seg.rho, a - seg.t0);
-      const double ub = kin.grow_weight_after(seg.param, seg.rho, b - seg.t0);
-      const double int_u = kin.grow_integral(ua, ub, seg.rho);
+      const PowerLawCursor::Level ua = cursor.at(seg, a);
+      const PowerLawCursor::Level ub = cursor.at(seg, b);
+      const double int_u = kin.band_integral_pow(ua.w, ua.wb, ub.w, ub.wb, seg.rho);
       out.energy = int_u;  // P(s) = U under the P = U rule
-      out.delta_volume = PowerLawKinematics::grow_volume(ua, ub, seg.rho);
-      out.processed_time = (int_u - ua * len) / seg.rho;
+      out.delta_volume = PowerLawKinematics::grow_volume(ua.w, ub.w, seg.rho);
+      out.processed_time = (int_u - ua.w * len) / seg.rho;
+      out.level = ub.w;
+      out.speed = ub.wb > 0.0 ? ub.w / ub.wb : 0.0;
       break;
     }
   }
-  (void)sched;
   return out;
 }
+
+/// Holds what the replay leaves of finished jobs to rounding.  The replay
+/// zeroes a job's volume at its completion (left in the active sum, the
+/// rounding would charge flow to the end of the run: 6e-5 of C's
+/// fractional flow on a t ~ 1e7 horizon), but must not hide a schedule that
+/// under-processes a job.  A leftover is judged when its busy period ends,
+/// because the period's highest level and speed may come after the job.
+class LeftoverGuard {
+ public:
+  /// A piece that processes a job of weight `job_weight`.
+  void busy(const PieceIntegrals& pi, double job_weight) {
+    peak_level_ = std::max({peak_level_, pi.level, job_weight});
+    peak_speed_ = std::max(peak_speed_, pi.speed);
+  }
+  /// Job `id` (of `density`) finished at time t with `leftover` weight.
+  void finished(JobId id, double density, double leftover, double t) {
+    const Leftover l{id, density, leftover, t};
+    // The peaks only grow, so a leftover within them now stays within.
+    if (l.weight > bound(l)) pending_.push_back(l);
+  }
+  /// The machine went idle, or the replay ended: the busy period's peaks
+  /// are final.
+  void idle() {
+    for (const Leftover& l : pending_) {
+      if (l.weight > bound(l)) {
+        char detail[128];
+        std::snprintf(detail, sizeof detail,
+                      " completes with weight %.3g unprocessed (rounding bound %.3g)", l.weight,
+                      bound(l));
+        throw ModelError("compute_metrics: job " + std::to_string(l.job) + detail);
+      }
+    }
+    pending_.clear();
+    peak_level_ = 0.0;
+    peak_speed_ = 0.0;
+  }
+
+ private:
+  struct Leftover {
+    JobId job;
+    double density;
+    double weight;
+    double t;
+  };
+  [[nodiscard]] double bound(const Leftover& l) const {
+    constexpr double kEps = std::numeric_limits<double>::epsilon();
+    return kLeftoverRelTol * peak_level_ +
+           kLeftoverTimeUlps * kEps * l.density * peak_speed_ * std::abs(l.t);
+  }
+
+  double peak_level_ = 0.0;
+  double peak_speed_ = 0.0;
+  std::vector<Leftover> pending_;
+};
 
 /// Kahan-compensated accumulator for the running active weighted volume.
 struct Compensated {
@@ -144,6 +267,8 @@ Metrics replay(const Instance& instance, const std::vector<JobId>& by_release,
 
   Metrics m;
   std::size_t seg_idx = 0;
+  PowerLawCursor cursor(kin);
+  LeftoverGuard leftovers;
 
   for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
     const double a = cuts[c];
@@ -160,8 +285,11 @@ Metrics replay(const Instance& instance, const std::vector<JobId>& by_release,
     PieceIntegrals pi;
     JobId cur = kNoJob;
     if (seg != nullptr && seg->law != SpeedLaw::kIdle) {
-      pi = integrate_piece(schedule, kin, power, *seg, a, b);
+      pi = integrate_piece(cursor, kin, power, *seg, a, b);
       cur = seg->job;
+      leftovers.busy(pi, instance.job(cur).weight());
+    } else {
+      leftovers.idle();
     }
     m.energy += pi.energy;
 
@@ -191,12 +319,19 @@ Metrics replay(const Instance& instance, const std::vector<JobId>& by_release,
     }
 
     if (cur != kNoJob) {
+      const Job& job = instance.job(cur);
       double& v = remaining[static_cast<std::size_t>(cur)];
-      const double dv = std::min(v, pi.delta_volume);
+      double dv = std::min(v, pi.delta_volume);
+      if (b >= schedule.completion(cur)) {
+        leftovers.finished(cur, job.density, job.density * (v - dv), b);
+        dv = v;
+      }
       v -= dv;
-      if (incremental) active_sum.add(-instance.job(cur).density * dv);
+      if (incremental) active_sum.add(-job.density * dv);
     }
   }
+  leftovers.idle();
+  if (cursor.pow_calls() > 0) OBS_COUNT("core.replay.pow_calls", cursor.pow_calls());
 
   for (const Job& j : instance.jobs()) {
     if (!in_scope(j.id)) continue;

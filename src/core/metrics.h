@@ -37,7 +37,9 @@ struct Metrics {
 /// flow integrals are finite); for kPowerDecay/kPowerGrow segments, `power`
 /// must be PowerLaw(schedule.alpha()) — those laws encode the P = W rule and
 /// their closed-form energy is only valid for that power function.
-/// kConstant/kIdle segments work with any power function.
+/// kConstant/kIdle segments work with any power function.  A job's volume
+/// counts as processed at its completion time; throws ModelError if the
+/// schedule has processed less than that by more than rounding.
 [[nodiscard]] Metrics compute_metrics(const Instance& instance, const Schedule& schedule,
                                       const PowerFunction& power);
 

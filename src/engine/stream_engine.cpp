@@ -66,7 +66,6 @@ StreamResult StreamEngine::run(JobSource& source) {
   std::vector<Machine> machines(static_cast<std::size_t>(options_.machines));
   double rho = 0.0;  // uniform density, learned from the first job
   std::uint64_t pow_calls = 0;  // kinematics pows; the traced speed_at_weight is left out
-  obs::MetricsRegistry& reg = obs::registry();
 
   // Completes every finished job at the head of machine m's queue whose
   // completion time is at or before `now` — the lazy evaluation that keeps
@@ -78,7 +77,7 @@ StreamResult StreamEngine::run(JobSource& source) {
       Pending& p = m.queue.front();
       if (p.dt < 0.0) {
         p.start = std::max(m.frontier, arena.release(p.slot));
-        p.dt = kin.grow_time_to_weight_pow(p.u0b, p.u1b, rho);
+        p.dt = kin.band_time_pow(p.u0b, p.u1b, rho);
       }
       const double t_end = p.start + p.dt;
       if (t_end > now) break;
@@ -91,7 +90,7 @@ StreamResult StreamEngine::run(JobSource& source) {
       // Per-job closed forms (Lemmas 3/4): segment energy is the C energy of
       // the swept weight band, and the job's whole-lifetime fractional flow
       // folds its waiting time in at completion.
-      const double e_j = kin.grow_integral_pow(u0, p.u0b, u1, p.u1b, rho);
+      const double e_j = kin.band_integral_pow(u0, p.u0b, u1, p.u1b, rho);
       om.add_energy(e_j);
       om.add_fractional_flow(w * (p.start - release) + u1 * p.dt - e_j);
       om.add_integral_flow(w * (t_end - release));
@@ -105,7 +104,7 @@ StreamResult StreamEngine::run(JobSource& source) {
       double seg_u0 = u0;
       if (u0 < std::numeric_limits<double>::min() && p.u0b > 0.0) {
         const double lo_b = std::min(kin.pow_b(std::numeric_limits<double>::min()), p.u1b);
-        seg_t0 = p.start + kin.grow_time_to_weight_pow(p.u0b, lo_b, rho);  // <= t_end
+        seg_t0 = p.start + kin.band_time_pow(p.u0b, lo_b, rho);  // <= t_end
         seg_u0 = kin.weight_from_pow(lo_b);
         pow_calls += 2;
       }
@@ -123,13 +122,6 @@ StreamResult StreamEngine::run(JobSource& source) {
       arena.retire(p.slot);
       m.queue.pop_front();
       ++result.jobs;
-      if (options_.gauge_every > 0 && result.jobs % options_.gauge_every == 0) {
-        reg.gauge("engine.stream.jobs_done").set(static_cast<double>(result.jobs));
-        reg.gauge("engine.stream.arena_live").set(static_cast<double>(arena.live()));
-        reg.gauge("engine.stream.arena_high_water")
-            .set(static_cast<double>(arena.high_water()));
-        reg.gauge("engine.stream.makespan").set(result.makespan);
-      }
     }
   };
   const auto drain_all = [&](double now) {

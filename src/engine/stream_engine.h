@@ -52,9 +52,6 @@ struct StreamOptions {
   int machines = 1;
   DispatchPolicy dispatch = DispatchPolicy::kRoundRobin;
   RecorderOptions recorder;     ///< RecordMode::kOff for metrics-online-only runs
-  std::uint64_t gauge_every = 0;  ///< publish engine.stream.* gauges every N
-                                  ///< completions (0 = off; gauges only, so the
-                                  ///< deterministic counter half is untouched)
 };
 
 struct StreamResult {

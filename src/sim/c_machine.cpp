@@ -61,6 +61,7 @@ void CMachine::release_due_jobs() {
     }
     const Job& job = jobs_[slot].job;
     total_weight_ += job.weight();
+    weight_b_stale_ = true;
     active_.push_back({job.density, job.release, job.id, slot});
     std::push_heap(active_.begin(), active_.end(), active_after);
     OBS_COUNT("sim.c_machine.releases", 1);
@@ -72,6 +73,11 @@ void CMachine::release_due_jobs() {
 void CMachine::advance_to(double t) {
   if (t < now_) throw ModelError("CMachine::advance_to: cannot move backwards");
   release_due_jobs();
+  // Stretches run in the b-coordinate, where the decay is linear: W^b is
+  // carried from event to event and retaken only after a release adds
+  // weight.  An event then costs w_done^b, which times the completion, and
+  // for a stretch cut short also its end weight: one or two pow.
+  std::int64_t pow_calls = 0;
   while (now_ < t) {
     const double next_release =
         pending_.empty() ? kInf : pending_[pending_head_].release;
@@ -87,14 +93,25 @@ void CMachine::advance_to(double t) {
     const JobId id = st.job.id;
     const double rho = st.job.density;
     const double w0 = total_weight_;
+    if (weight_b_stale_) {
+      total_weight_b_ = kin_.pow_b(w0);
+      weight_b_stale_ = false;
+      ++pow_calls;
+    }
+    const double w0b = total_weight_b_;
     // Weight level at completion.  The last active job drains to exactly
     // zero: w0 - rho * remaining can leave a ~1e-17 rounding residue whose
     // residue^b / (rho b) tail moves the drain time (by ~1e-5 at alpha = 1.5)
     // off the closed form that NC and NC-PAR use for the same busy period.
-    const double w_done = active_.size() == 1 ? 0.0 : w0 - rho * st.remaining;
-    // w0^b is shared by the stretch's two closed forms (w0 >= 0 always).
-    const double w0b = kin_.pow_b(w0);
-    const double t_complete = now_ + kin_.decay_time_to_weight_pow(w0b, w_done, rho);
+    const double w_done = active_.size() == 1 ? 0.0 : std::max(w0 - rho * st.remaining, 0.0);
+    // w_done^b is the next stretch's w0^b.  A carried w0^b may sit an ulp
+    // under pow_b(w0); the min keeps the completion from preceding now_.
+    double w_done_b = 0.0;
+    if (w_done > 0.0) {
+      w_done_b = std::min(kin_.pow_b(w_done), w0b);
+      ++pow_calls;
+    }
+    const double t_complete = now_ + kin_.band_time_pow(w_done_b, w0b, rho);
     const double t_event = std::min({t, next_release, t_complete});
 
     if (t_event > now_) {
@@ -117,7 +134,12 @@ void CMachine::advance_to(double t) {
       running_ = slot;
     }
 
-    if (t_complete <= t && t_complete <= next_release) {
+    // The stretch ends at weight w1 (w1b = w1^b); a completion lands on
+    // w_done exactly.
+    double w1 = w_done;
+    double w1b = w_done_b;
+    const bool completes = t_complete <= t && t_complete <= next_release;
+    if (completes) {
       // Completion fires (at ties, completion precedes release handling).
       // A drained machine holds exactly zero weight (w_done above), so
       // C-PAR's least-weight dispatch sees an idle machine as exactly empty
@@ -126,43 +148,39 @@ void CMachine::advance_to(double t) {
       st.done = true;
       std::pop_heap(active_.begin(), active_.end(), active_after);
       active_.pop_back();
-      total_weight_ = std::max(0.0, w_done);
       schedule_.set_completion(id, t_complete);
       now_ = t_complete;
       OBS_COUNT("sim.c_machine.completions", 1);
-      const bool tracing = obs::tracing_enabled();
-      if (tracing || online_on_) {
-        // int W dt over the finished stretch; for Algorithm C the cumulative
-        // energy and cumulative fractional flow are the same integral.
-        const double de = kin_.decay_integral(w0, std::max(w_done, 0.0), rho);
-        if (online_on_) {
-          om_.add_energy(de);
-          om_.add_fractional_flow(de);
-          om_.add_integral_flow(st.job.weight() * (t_complete - st.job.release));
-        }
-        if (tracing) {
-          energy_acc_ += de;
+    } else {
+      w1b = kin_.decay_pow_after(w0b, rho, t_event - now_);
+      w1 = kin_.weight_from_pow(w1b);
+      if (w1b > 0.0) ++pow_calls;
+      st.remaining = std::max(0.0, st.remaining - (w0 - w1) / rho);
+      now_ = t_event;
+    }
+    total_weight_ = w1;
+    total_weight_b_ = w1b;
+    const bool tracing = obs::tracing_enabled();
+    if (tracing || online_on_) {
+      // int W dt over the stretch; for Algorithm C the cumulative energy and
+      // cumulative fractional flow are the same integral.
+      const double de = kin_.band_integral_pow(w1, w1b, w0, w0b, rho);
+      if (online_on_) {
+        om_.add_energy(de);
+        om_.add_fractional_flow(de);
+        if (completes) om_.add_integral_flow(st.job.weight() * (t_complete - st.job.release));
+      }
+      if (tracing) {
+        energy_acc_ += de;
+        if (completes) {
           TRACE_EVENT(.kind = obs::EventKind::kJobComplete, .t = t_complete, .job = id,
                       .machine = obs_machine_, .value = energy_acc_, .aux = energy_acc_);
         }
       }
-    } else {
-      const double dt = t_event - now_;
-      const double w1 = kin_.decay_weight_after_pow(w0b, rho, dt);
-      st.remaining = std::max(0.0, st.remaining - (w0 - w1) / rho);
-      total_weight_ = w1;
-      now_ = t_event;
-      if (obs::tracing_enabled() || online_on_) {
-        const double de = kin_.decay_integral(w0, w1, rho);
-        if (online_on_) {
-          om_.add_energy(de);
-          om_.add_fractional_flow(de);
-        }
-        if (obs::tracing_enabled()) energy_acc_ += de;
-      }
     }
     release_due_jobs();
   }
+  if (pow_calls > 0) OBS_COUNT("sim.c_machine.pow_calls", pow_calls);
 }
 
 void CMachine::run_to_completion() { advance_to(kInf); }

@@ -145,6 +145,8 @@ class CMachine {
   PowerLawKinematics kin_;
   double now_ = 0.0;
   double total_weight_ = 0.0;
+  double total_weight_b_ = 0.0;     // total_weight_^b, the decay's linear coordinate
+  bool weight_b_stale_ = false;     // a release added weight since total_weight_b_
   double energy_acc_ = 0.0;         // cumulative int W dt (tracing only)
   bool online_on_ = false;
   engine::OnlineMetrics om_;        // online objective (opt-in only)

@@ -316,14 +316,15 @@ TEST(NCUniformBatch, MatchesLongDoubleReferenceOnEdgeGrid) {
   // offset relative to the top of the job's weight band (u0 + w_j): an
   // offset that underflows near a drained C is off by ~1 relative to itself
   // but not to the band the job sweeps.  The replay of its schedule meets
-  // the same bound on energy and integral flow.  Its fractional flow drifts
-  // on the long horizon (2.9e-6 at alpha = 1.01, 1.1e-6 at 1.5: the replay's
-  // own rounding, see compute_metrics in CHANGES.md), so there it is held
+  // the same bound on energy and integral flow.  Its fractional flow drifted
+  // on the long horizon (2.9e-6 at alpha = 1.01, 1.1e-6 at 1.5) while the
+  // replay let finished jobs' rounding leftovers charge flow; it is held
   // to kReplayHorizonBound; a segment whose u0 lost u0^b (grown from 0 over
-  // the exact u0^b's time) leaves weight unprocessed and reads 0.31 at
-  // alpha = 1.01.
+  // the exact u0^b's time) leaves weight unprocessed, which the replay
+  // rejects with ModelError (its fractional flow read 0.31 at alpha = 1.01
+  // before it checked).
   constexpr double kRelBound = 1e-10;
-  constexpr double kReplayHorizonBound = 4e-6;
+  constexpr double kReplayHorizonBound = 1e-10;
   for (const std::string kind : {"ties", "volumes", "horizon"}) {
     const Instance inst = edge_instance(kind);
     for (const double alpha : {1.01, 1.5, 3.0, 8.0}) {
@@ -363,6 +364,40 @@ TEST(NCUniformBatch, MatchesLongDoubleReferenceOnEdgeGrid) {
                   "int_flow %.2e  makespan %.2e  offsets %.2e  starts %.2e  | replay "
                   "energy %.2e  frac_flow %.2e  int_flow %.2e\n",
                   kind.c_str(), alpha, e, ff, fi, mk, off, st, re, rff, rfi);
+    }
+  }
+}
+
+TEST(AlgorithmC, MatchesLongDoubleReferenceOnEdgeGrid) {
+  // The lemmas make the NC reference an oracle for C as well: C and NC
+  // spend the same energy (Lemma 3), and C's fractional flow, which is its
+  // energy under P = W, is (1 - 1/alpha) times NC's (Lemma 4).  Both the
+  // replay of C's schedule and CMachine's online accumulators are held to
+  // it, so this gates the C kernel's W^b arithmetic.  Before the replay
+  // zeroed finished jobs, its fractional flow on the horizon at
+  // alpha = 1.01 was 6e-5 off.
+  constexpr double kRelBound = 1e-10;
+  for (const std::string kind : {"ties", "volumes", "horizon"}) {
+    const Instance inst = edge_instance(kind);
+    for (const double alpha : {1.01, 1.5, 3.0, 8.0}) {
+      SCOPED_TRACE(kind + " alpha " + std::to_string(alpha));
+      const RunResult run = run_c(inst, alpha);
+      const testing_ref::LongDoubleNcRun ref =
+          testing_ref::nc_uniform_long_double(inst, alpha);
+      ASSERT_TRUE(run.online.has_value());
+      const long double c_flow = (1.0L - 1.0L / static_cast<long double>(alpha)) *
+                                 ref.fractional_flow;
+      const double re = rel_error(run.metrics.energy, ref.energy);
+      const double rff = rel_error(run.metrics.fractional_flow, c_flow);
+      const double oe = rel_error(run.online->energy, ref.energy);
+      const double off = rel_error(run.online->fractional_flow, c_flow);
+      EXPECT_LE(re, kRelBound);
+      EXPECT_LE(rff, kRelBound);
+      EXPECT_LE(oe, kRelBound);
+      EXPECT_LE(off, kRelBound);
+      std::printf("  long double ref (C) %-7s alpha=%-4g replay energy %.2e  frac_flow %.2e  "
+                  "| online energy %.2e  frac_flow %.2e\n",
+                  kind.c_str(), alpha, re, rff, oe, off);
     }
   }
 }

@@ -112,32 +112,39 @@ TEST_P(KinematicsAlpha, VolumeBookkeeping) {
   EXPECT_DOUBLE_EQ(PowerLawKinematics::grow_volume(w1, w0, rho), 2.0);
 }
 
-// The C kernel shares w0^b between a stretch's two closed forms; the `_pow`
-// forms must then be the plain forms exactly, including their zero edges.
+// The plain forms are the b-coordinate forms composed with pow_b, so a
+// kernel that carries w^b (CMachine, the replay) computes what the plain
+// forms would from the same w^b, bit for bit, including the zero edges.
 TEST_P(KinematicsAlpha, PowFormsEqualPlainFormsBitForBit) {
   const PowerLawKinematics kin(GetParam());
   for (const double w0 : {0.0, 5e-324, 1e-300, 1e-17, 0.3, 1.0, 7.5, 1e6, 1e12}) {
     const double w0b = kin.pow_b(w0);
     for (const double rho : {0.25, 1.0, 8.0}) {
       for (const double dt : {0.0, 1e-9, 0.1, 3.0, 1e3}) {
-        EXPECT_EQ(kin.decay_weight_after_pow(w0b, rho, dt), kin.decay_weight_after(w0, rho, dt))
+        EXPECT_EQ(kin.weight_from_pow(kin.decay_pow_after(w0b, rho, dt)),
+                  kin.decay_weight_after(w0, rho, dt))
+            << w0 << " " << rho << " " << dt;
+        EXPECT_EQ(kin.weight_from_pow(kin.grow_pow_after(w0b, rho, dt)),
+                  kin.grow_weight_after(w0, rho, dt))
             << w0 << " " << rho << " " << dt;
       }
-      for (const double w1 : {-1.0, 0.0, 0.5 * w0, w0}) {
-        EXPECT_EQ(kin.decay_time_to_weight_pow(w0b, w1, rho),
-                  kin.decay_time_to_weight(w0, w1, rho))
+      for (const double w1 : {0.0, 0.5 * w0, w0}) {
+        EXPECT_EQ(kin.band_time_pow(kin.pow_b(w1), w0b, rho), kin.decay_time_to_weight(w0, w1, rho))
+            << w0 << " " << rho << " " << w1;
+        EXPECT_EQ(kin.band_time_pow(kin.pow_b(w1), w0b, rho), kin.grow_time_to_weight(w1, w0, rho))
             << w0 << " " << rho << " " << w1;
       }
     }
   }
 }
 
-// The growth `_pow` forms take u0^b and u1^b from the caller.  The time form
-// is then the plain form's arithmetic exactly, but the integral forms
-// u^{1+b} as u * u^b where grow_integral calls pow(u, 1 + b): the two are
-// NOT bit for bit equal.  Both round the exponent (b, or 1 + b) once, which
-// moves u^{1+b} by up to |ln u| ulp, so the bound is stated in ulp of the
-// larger term u1^{1+b} / (rho (1+b)): 4 + 2 |ln u1|.
+// The band forms take both ends' b-powers from the caller.  The time form
+// is then the plain forms' arithmetic exactly, but the integral forms
+// w^{1+b} as w * w^b where grow_integral and decay_integral call
+// pow(w, 1 + b): the two are NOT bit for bit equal.  Both round the exponent
+// (b, or 1 + b) once, which moves u^{1+b} by up to |ln u| ulp, so the bound
+// is stated in ulp of the larger term u1^{1+b} / (rho (1+b)): 4 + 2 |ln u1|.
+// Decay sweeps the same band downwards: its integral is the same form.
 TEST_P(KinematicsAlpha, GrowPowFormsMatchPlainFormsToUlpScale) {
   const PowerLawKinematics kin(GetParam());
   const double eps = std::numeric_limits<double>::epsilon();
@@ -147,12 +154,14 @@ TEST_P(KinematicsAlpha, GrowPowFormsMatchPlainFormsToUlpScale) {
       const double u1 = u0 + w;
       const double u1b = kin.pow_b(u1);
       for (const double rho : {0.25, 1.0, 8.0}) {
-        EXPECT_EQ(kin.grow_time_to_weight_pow(u0b, u1b, rho),
-                  kin.grow_time_to_weight(u0, u1, rho))
+        EXPECT_EQ(kin.band_time_pow(u0b, u1b, rho), kin.grow_time_to_weight(u0, u1, rho))
             << u0 << " " << w << " " << rho;
         const double scale = u1 * u1b / (rho * (1.0 + kin.b()));
         const double ulps = 4.0 + 2.0 * std::abs(std::log(u1));
-        EXPECT_NEAR(kin.grow_integral_pow(u0, u0b, u1, u1b, rho), kin.grow_integral(u0, u1, rho),
+        EXPECT_NEAR(kin.band_integral_pow(u0, u0b, u1, u1b, rho), kin.grow_integral(u0, u1, rho),
+                    ulps * eps * scale)
+            << u0 << " " << w << " " << rho;
+        EXPECT_NEAR(kin.band_integral_pow(u0, u0b, u1, u1b, rho), kin.decay_integral(u1, u0, rho),
                     ulps * eps * scale)
             << u0 << " " << w << " " << rho;
       }
@@ -165,12 +174,12 @@ TEST_P(KinematicsAlpha, GrowPowFormsMatchPlainFormsToUlpScale) {
 TEST_P(KinematicsAlpha, GrowPowFormsEdges) {
   const PowerLawKinematics kin(GetParam());
   const double rho = 1.5, u1 = 3.0, u1b = kin.pow_b(u1);
-  EXPECT_EQ(kin.grow_time_to_weight_pow(0.0, u1b, rho), u1b / (rho * kin.b()));
-  EXPECT_EQ(kin.grow_integral_pow(0.0, 0.0, u1, u1b, rho), u1 * u1b / (rho * (1.0 + kin.b())));
-  EXPECT_EQ(kin.grow_time_to_weight_pow(u1b, u1b, rho), 0.0);
-  EXPECT_EQ(kin.grow_integral_pow(u1, u1b, u1, u1b, rho), 0.0);
-  EXPECT_EQ(kin.grow_time_to_weight_pow(0.0, 0.0, rho), 0.0);
-  EXPECT_EQ(kin.grow_integral_pow(0.0, 0.0, 0.0, 0.0, rho), 0.0);
+  EXPECT_EQ(kin.band_time_pow(0.0, u1b, rho), u1b / (rho * kin.b()));
+  EXPECT_EQ(kin.band_integral_pow(0.0, 0.0, u1, u1b, rho), u1 * u1b / (rho * (1.0 + kin.b())));
+  EXPECT_EQ(kin.band_time_pow(u1b, u1b, rho), 0.0);
+  EXPECT_EQ(kin.band_integral_pow(u1, u1b, u1, u1b, rho), 0.0);
+  EXPECT_EQ(kin.band_time_pow(0.0, 0.0, rho), 0.0);
+  EXPECT_EQ(kin.band_integral_pow(0.0, 0.0, 0.0, 0.0, rho), 0.0);
   // The b-coordinate round trip the engine's tracker takes per job.
   EXPECT_EQ(kin.weight_from_pow(0.0), 0.0);
   EXPECT_EQ(kin.weight_from_pow(-1.0), 0.0);

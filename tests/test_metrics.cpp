@@ -109,6 +109,34 @@ TEST(Metrics, ThrowsOnIncompleteJob) {
   EXPECT_THROW((void)compute_metrics(inst, s, p), ModelError);
 }
 
+// A job's volume counts as processed at its completion only when the
+// schedule has processed it up to rounding; a schedule that stops a job short
+// must not pass as one that finished it.
+TEST(Metrics, RejectsScheduleThatUnderProcessesAJob) {
+  const PowerLaw p(2.0);
+  const Instance two({Job{kNoJob, 0.0, 2.0, 1.0}, Job{kNoJob, 0.0, 1.0, 1.0}});
+  Schedule half(2.0);
+  half.append({0.0, 1.0, 0, SpeedLaw::kConstant, 1.0, 0.0});  // 1 of job 0's 2
+  half.append({1.0, 2.0, 1, SpeedLaw::kConstant, 1.0, 0.0});
+  half.set_completion(0, 1.0);
+  half.set_completion(1, 2.0);
+  EXPECT_THROW((void)compute_metrics(two, half, p), ModelError);
+  EXPECT_THROW((void)compute_metrics_reference(two, half, p), ModelError);
+
+  // A decay segment cut 1e-6 of its weight before the drain.
+  const Instance one({Job{kNoJob, 0.0, 1.0, 1.0}});
+  const PowerLawKinematics kin(2.0);
+  const double t_short = kin.decay_time_to_weight(1.0, 1e-6, 1.0);
+  Schedule cut(2.0);
+  cut.append({0.0, t_short, 0, SpeedLaw::kPowerDecay, 1.0, 1.0});
+  cut.set_completion(0, t_short);
+  EXPECT_THROW((void)compute_metrics(one, cut, p), ModelError);
+  Schedule full(2.0);
+  full.append({0.0, kin.decay_time_to_zero(1.0, 1.0), 0, SpeedLaw::kPowerDecay, 1.0, 1.0});
+  full.set_completion(0, kin.decay_time_to_zero(1.0, 1.0));
+  EXPECT_NEAR(compute_metrics(one, full, p).energy, kin.decay_integral(1.0, 0.0, 1.0), 1e-15);
+}
+
 TEST(Metrics, RejectsMismatchedPowerFunctionForPowerLawSegments) {
   const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
   const PowerLawKinematics kin(2.0);
