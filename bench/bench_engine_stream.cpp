@@ -11,6 +11,8 @@
 //   bench_engine_stream                         # smoke: 200k jobs, plateau assert
 //   bench_engine_stream --jobs 10000000 --rss-ceiling-mb 512 --json out.json
 //                                               # the pinned engine.stream/10M run
+//   bench_engine_stream --machines 4 --dispatch ncpar
+//                                               # NC-PAR's queue instead of round robin
 //
 // With --json the run is emitted as a speedscale.bench_ledger/1 document:
 // the engine's deterministic tallies (jobs, arena high-water/slots, kinematics
@@ -120,6 +122,7 @@ int usage(const char* flag = nullptr, const char* value = nullptr) {
   }
   std::fprintf(stderr,
                "usage: bench_engine_stream [--jobs N] [--machines K] [--reps R]\n"
+               "                           [--dispatch round-robin|least-count|ncpar]\n"
                "                           [--record off|ring] [--ring-capacity N]\n"
                "                           [--rss-ceiling-mb M] [--rss-slack-mb M]\n"
                "                           [--probe-every N] [--json FILE] [--name NAME]\n");
@@ -131,6 +134,8 @@ int usage(const char* flag = nullptr, const char* value = nullptr) {
 int main(int argc, char** argv) {
   std::uint64_t jobs = 200'000;
   int machines = 1, reps = 1;
+  DispatchPolicy dispatch = DispatchPolicy::kRoundRobin;
+  std::string dispatch_name = "round-robin";
   engine::RecordMode mode = engine::RecordMode::kOff;
   std::size_t ring_capacity = 1 << 16;
   long ceiling_mb = 0, slack_mb = 64;
@@ -149,6 +154,17 @@ int main(int argc, char** argv) {
       ok = bench::parse_int_in(value, 1, 4096, machines);
     } else if (arg == "--reps" && has_value) {
       ok = bench::parse_int_in(value, 1, 1000, reps);
+    } else if (arg == "--dispatch" && has_value) {
+      dispatch_name = value;
+      if (dispatch_name == "round-robin") {
+        dispatch = DispatchPolicy::kRoundRobin;
+      } else if (dispatch_name == "least-count") {
+        dispatch = DispatchPolicy::kLeastCount;
+      } else if (dispatch_name == "ncpar") {
+        dispatch = DispatchPolicy::kNcPar;
+      } else {
+        ok = false;
+      }
     } else if (arg == "--record" && has_value) {
       const std::string m = value;
       if (m == "off") {
@@ -176,7 +192,10 @@ int main(int argc, char** argv) {
     if (!ok) return usage(arg.c_str(), value);
     ++i;
   }
-  if (name.empty()) name = "engine.stream/" + scale_label(jobs);
+  if (name.empty()) {
+    const std::string rule = dispatch_name == "round-robin" ? "" : "_" + dispatch_name;
+    name = "engine.stream" + rule + "/" + scale_label(jobs);
+  }
   // Steady state arrives well before 1/8 of the stream at the pinned load;
   // cap the warmup window so tiny --jobs runs still get a post-warmup phase.
   const std::uint64_t warmup_jobs = jobs / 8;
@@ -185,6 +204,7 @@ int main(int argc, char** argv) {
   ledger.set_config("alpha", "2");
   ledger.set_config("jobs", std::to_string(jobs));
   ledger.set_config("machines", std::to_string(machines));
+  ledger.set_config("dispatch", dispatch_name);
   ledger.set_config("record", mode == engine::RecordMode::kOff ? "off" : "ring");
   obs::perf::BenchEntry& entry = ledger.entry(name);
   entry.source = "runner";
@@ -201,6 +221,7 @@ int main(int argc, char** argv) {
     engine::StreamOptions options;
     options.alpha = 2.0;
     options.machines = machines;
+    options.dispatch = dispatch;
     options.recorder.mode = mode;
     options.recorder.ring_capacity = ring_capacity;
     engine::StreamEngine eng(options);

@@ -10,6 +10,9 @@
 namespace speedscale {
 
 std::vector<MachineId> dispatch_identical(DispatchPolicy policy, int k, int n) {
+  if (policy == DispatchPolicy::kNcPar) {
+    throw ModelError("dispatch_identical: NC-PAR is not an immediate dispatch rule");
+  }
   static const char* const kPolicyLabels[] = {"dispatch.round_robin", "dispatch.least_count",
                                               "dispatch.first_fit"};
   const char* const label = kPolicyLabels[static_cast<std::size_t>(policy)];
@@ -32,6 +35,7 @@ std::vector<MachineId> dispatch_identical(DispatchPolicy policy, int k, int n) {
         while (target < k - 1 && count[static_cast<std::size_t>(target)] >= cap) ++target;
         break;
       }
+      case DispatchPolicy::kNcPar: break;  // rejected above
     }
     out[static_cast<std::size_t>(i)] = target;
     ++count[static_cast<std::size_t>(target)];

@@ -21,15 +21,21 @@
 
 namespace speedscale {
 
-/// Deterministic dispatch rules that only see observable (non-clairvoyant)
-/// information: arrival order, release times, densities, and counts.
+/// Dispatch rules for k machines.  The first three are immediate rules: they
+/// see only observable (non-clairvoyant) information at arrival (order,
+/// release times, densities, counts), and Section 6's adversary defeats
+/// them.  kNcPar is not one: it is Theorem 17's NC-PAR, where a job waits in
+/// a global FIFO queue until a machine drains, so it depends on when earlier
+/// jobs finish.  Only engine::StreamEngine runs it.
 enum class DispatchPolicy {
   kRoundRobin,   ///< job i -> machine i mod k
   kLeastCount,   ///< machine with fewest assigned jobs (lowest index ties)
   kFirstFit,     ///< always the lowest-indexed machine until count k, then next
+  kNcPar,        ///< NC-PAR's global FIFO queue (not an immediate rule)
 };
 
-/// Dispatches `n` observationally-identical jobs to k machines.
+/// Dispatches `n` observationally-identical jobs to k machines under one of
+/// the immediate rules; throws ModelError for kNcPar.
 [[nodiscard]] std::vector<MachineId> dispatch_identical(DispatchPolicy policy, int k, int n);
 
 /// Runs each machine's assigned jobs under Algorithm C and sums the metrics.

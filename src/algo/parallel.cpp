@@ -1,11 +1,12 @@
 #include "src/algo/parallel.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <utility>
 
-#include "src/core/kinematics.h"
 #include "src/core/power.h"
+#include "src/engine/job_source.h"
+#include "src/engine/stream_engine.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/sim/c_machine.h"
@@ -87,108 +88,38 @@ ParallelRun run_nc_par(const Instance& instance, double alpha, int k) {
   if (!instance.uniform_density(1e-9)) {
     throw ModelError("run_nc_par: the paper's NC-PAR requires uniform density");
   }
+  // The streaming engine's NC-PAR dispatch with a ring of n segments, as
+  // run_nc_uniform_detailed is the engine on one machine.
+  engine::StreamOptions options;
+  options.alpha = alpha;
+  options.machines = k;
+  options.dispatch = DispatchPolicy::kNcPar;
+  options.recorder.ring_capacity = std::max<std::size_t>(1, instance.size());
+  engine::StreamEngine eng(options);
+  engine::InstanceJobSource source(instance);
+  const engine::StreamResult streamed = eng.run(source);
+  OBS_COUNT("algo.nc_par.dispatches", static_cast<std::int64_t>(instance.size()));
+
   ParallelRun out;
+  out.schedules.assign(static_cast<std::size_t>(k), Schedule(alpha));
   out.assignment.assign(instance.size(), kNoMachine);
   out.start_times.assign(instance.size(), 0.0);
-
-  const PowerLawKinematics kin(alpha);
-  struct MachineState {
-    CMachine shadow;           ///< virtual Algorithm C over this machine's jobs
-    Schedule schedule;         ///< the real NC processing record
-    double busy_until = -1.0;  ///< < 0 means idle
-    double last_release = -1.0;
-    double tied_weight = 0.0;  ///< weight of same-release jobs already assigned here
-    double energy_acc = 0.0;   ///< cumulative traced energy of this machine
-    explicit MachineState(double a) : shadow(a), schedule(a) {}
-  };
-  std::vector<MachineState> ms;
-  ms.reserve(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) ms.emplace_back(alpha);
-
-  const std::vector<JobId> order = instance.fifo_order();
-  std::size_t next_release_idx = 0;
-  std::deque<JobId> queue;  // released, unassigned, FIFO
-
-  const auto try_assign = [&](double t) {
-    while (!queue.empty()) {
-      int idle = -1;
-      for (int i = 0; i < k; ++i) {
-        if (ms[static_cast<std::size_t>(i)].busy_until < 0.0) {
-          idle = i;
-          break;
-        }
-      }
-      if (idle < 0) return;
-      const JobId jid = queue.front();
-      queue.pop_front();
-      const Job& job = instance.job(jid);
-      MachineState& m = ms[static_cast<std::size_t>(idle)];
-      // The shadow clairvoyant run sees the job at its *release* time; FIFO
-      // assignment order guarantees the shadow frontier has not passed it.
-      // The shadow is virtual — its events stay out of the NC-PAR trace.
-      {
-        obs::TraceSuppressGuard suppress_shadow;
-        m.shadow.add_job(job);
-        m.shadow.advance_to(job.release);
-      }
-      // Release-time ties resolve as the limit of infinitesimally-separated
-      // releases (cf. run_nc_uniform_detailed): tied jobs already assigned to
-      // this machine count toward the offset.
-      if (m.last_release != job.release) {
-        m.last_release = job.release;
-        m.tied_weight = 0.0;
-      }
-      const double offset = m.shadow.remaining_weight_left(job.release) + m.tied_weight;
-      m.tied_weight += job.weight();
-      const double u0 = offset;
-      const double u1 = offset + job.weight();
-      const double dt = kin.grow_time_to_weight(u0, u1, job.density);
-      m.schedule.append({t, t + dt, jid, SpeedLaw::kPowerGrow, u0, job.density});
-      m.schedule.set_completion(jid, t + dt);
-      m.busy_until = t + dt;
-      out.assignment[static_cast<std::size_t>(jid)] = idle;
-      out.start_times[static_cast<std::size_t>(jid)] = t;
-      OBS_COUNT("algo.nc_par.dispatches", 1);
-      if (obs::tracing_enabled()) {
-        TRACE_EVENT(.kind = obs::EventKind::kDispatch, .t = t, .job = jid, .machine = idle,
-                    .value = offset, .label = "nc_par.fifo_pull");
-        TRACE_EVENT(.kind = obs::EventKind::kSpeedChange, .t = t, .job = jid, .machine = idle,
-                    .value = kin.speed_at_weight(std::max(u0, 0.0)), .aux = u0);
-        m.energy_acc += kin.grow_integral(u0, u1, job.density);
-        TRACE_EVENT(.kind = obs::EventKind::kJobComplete, .t = t + dt, .job = jid,
-                    .machine = idle, .value = m.energy_acc, .aux = offset);
-      }
-    }
-  };
-
-  while (true) {
-    double next_event = kInf;
-    if (next_release_idx < order.size()) {
-      next_event = instance.job(order[next_release_idx]).release;
-    }
-    for (int i = 0; i < k; ++i) {
-      const double bu = ms[static_cast<std::size_t>(i)].busy_until;
-      if (bu >= 0.0) next_event = std::min(next_event, bu);
-    }
-    if (next_event == kInf) break;
-    const double t = next_event;
-    for (int i = 0; i < k; ++i) {
-      MachineState& m = ms[static_cast<std::size_t>(i)];
-      if (m.busy_until >= 0.0 && m.busy_until <= t) m.busy_until = -1.0;
-    }
-    while (next_release_idx < order.size() &&
-           instance.job(order[next_release_idx]).release <= t) {
-      const Job& j = instance.job(order[next_release_idx]);
-      TRACE_EVENT(.kind = obs::EventKind::kJobRelease, .t = j.release, .job = j.id,
-                  .value = j.volume, .aux = j.density);
-      queue.push_back(order[next_release_idx]);
-      ++next_release_idx;
-    }
-    try_assign(t);
+  // Each job is one growth segment (zero-length ones too, which the Schedule
+  // drops), recorded in FIFO order per machine; a machine starts a job at its
+  // release or at the end of its previous job.
+  std::vector<double> frontier(static_cast<std::size_t>(k), 0.0);
+  for (const engine::RecordedSegment& rec : eng.recorder().segments()) {
+    const auto m = static_cast<std::size_t>(rec.machine);
+    const auto j = static_cast<std::size_t>(rec.seg.job);
+    out.assignment[j] = rec.machine;
+    out.start_times[j] = std::max(frontier[m], instance.job(rec.seg.job).release);
+    frontier[m] = rec.seg.t1;
+    out.schedules[m].append(rec.seg);
+    out.schedules[m].set_completion(rec.seg.job, rec.seg.t1);
   }
-
-  for (auto& m : ms) out.schedules.push_back(std::move(m.schedule));
+  // The replay is the Lemma 21/22 oracle, as for C-PAR.
   out.metrics = parallel_metrics(instance, out.schedules, out.assignment, alpha);
+  out.online = streamed.online;
   return out;
 }
 

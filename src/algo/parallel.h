@@ -17,8 +17,12 @@
 // O(alpha + 1/(alpha-1)) competitiveness.  The tests verify assignment
 // equality, exact energy equality (Lemma 21) and the exact flow ratio
 // (Lemma 22).
+//
+// run_nc_par is engine::StreamEngine with DispatchPolicy::kNcPar, which
+// realises the queue as FIFO list scheduling (engine/stream_engine.h).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "src/core/instance.h"
@@ -33,6 +37,7 @@ struct ParallelRun {
   std::vector<MachineId> assignment;   ///< per job id
   std::vector<double> start_times;     ///< per job id: when processing began
   Metrics metrics;                     ///< summed over machines
+  std::optional<Metrics> online;       ///< NC-PAR: the engine's accumulators
 };
 
 /// C-PAR on k identical machines; exact.  Ties in remaining weight break

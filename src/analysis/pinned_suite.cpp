@@ -160,6 +160,22 @@ std::vector<PinnedBench> build_pinned_suite() {
          engine::StreamEngine eng(options);
          (void)eng.run(source);
        }},
+      {"engine.stream_ncpar/100k",
+       [] {
+         // NC-PAR's dispatch on four machines, recording off: the stream
+         // shape of run_nc_par (the queue is FIFO list scheduling).
+         engine::SyntheticJobSource::Params params;
+         params.n_jobs = 100'000;
+         params.seed = 21;
+         engine::SyntheticJobSource source(params);
+         engine::StreamOptions options;
+         options.alpha = kAlpha;
+         options.machines = 4;
+         options.dispatch = DispatchPolicy::kNcPar;
+         options.recorder.mode = engine::RecordMode::kOff;
+         engine::StreamEngine eng(options);
+         (void)eng.run(source);
+       }},
       // The sweep-engine determinism pair: same 8-point suite grid at inner
       // jobs 1 and 8.  Identical counters (incl. opt.cache.hits/misses from
       // the per-point memoized OPT solves), different wall — the committed

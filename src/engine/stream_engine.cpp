@@ -17,25 +17,25 @@ namespace speedscale::engine {
 
 namespace {
 
-/// A job waiting in (or at the head of) a machine's FIFO queue.  Its
-/// segment sweeps U from u0 to u1 = u0 + w; both ends' b-powers are fixed at
-/// admit, so the segment's time and energy need no further pow.  `start` is
-/// set once the job reaches the head (the frontier is final by then).
+/// A job admitted to a machine and not yet completed.  Its segment sweeps U
+/// from u0 to u1 = u0 + w over [start, start + dt]; all of it is fixed at
+/// admit (the machine's earlier jobs fix its frontier), so completing the
+/// job needs no further pow.
 struct Pending {
   JobArena::Slot slot = JobArena::kNoSlot;
-  double offset = 0.0;  ///< u0 = W^C(r^-) + tied-cohort weights, fixed at admit
+  double offset = 0.0;  ///< u0 = W^C(r^-) + tied-cohort weights
   double u0b = 0.0;     ///< u0^b
   double u1b = 0.0;     ///< (u0 + w)^b
-  double start = 0.0;
-  double dt = -1.0;     ///< < 0 until computed at the queue head
+  double start = 0.0;   ///< max(machine frontier, release)
+  double dt = 0.0;
 };
 
 struct Machine {
-  double frontier = 0.0;    ///< end of the last scheduled segment
+  double frontier = 0.0;    ///< end of the last admitted job's segment
+  bool zero_tail = false;   ///< that segment took no time (start == end)
   double c_weight_b = 0.0;  ///< W^b of the virtual clairvoyant remaining weight
   double c_time = 0.0;      ///< time c_weight_b refers to
   std::deque<Pending> queue;
-  std::uint64_t assigned = 0;
 };
 
 }  // namespace
@@ -45,7 +45,7 @@ StreamEngine::StreamEngine(const StreamOptions& options) : options_(options) {
   if (options_.machines < 1) throw ModelError("StreamEngine: need at least one machine");
   if (options_.machines > 1 && options_.dispatch == DispatchPolicy::kFirstFit) {
     throw ModelError("StreamEngine: first-fit dispatch needs the job count up front; "
-                     "a stream has no count — use round robin or least count");
+                     "a stream has no count — use round robin, least count or NC-PAR");
   }
 }
 
@@ -64,21 +64,17 @@ StreamResult StreamEngine::run(JobSource& source) {
   OnlineMetrics om;
   StreamResult result;
   std::vector<Machine> machines(static_cast<std::size_t>(options_.machines));
+  const bool ncpar = options_.dispatch == DispatchPolicy::kNcPar;
   double rho = 0.0;  // uniform density, learned from the first job
   std::uint64_t pow_calls = 0;  // kinematics pows; the traced speed_at_weight is left out
 
   // Completes every finished job at the head of machine m's queue whose
   // completion time is at or before `now` — the lazy evaluation that keeps
-  // the arena at O(backlog): a job's segment depends only on the machine
-  // frontier and its own admit-time offset, never on later arrivals.
+  // the arena at O(backlog).
   const auto drain = [&](std::size_t mi, double now) {
     Machine& m = machines[mi];
     while (!m.queue.empty()) {
-      Pending& p = m.queue.front();
-      if (p.dt < 0.0) {
-        p.start = std::max(m.frontier, arena.release(p.slot));
-        p.dt = kin.band_time_pow(p.u0b, p.u1b, rho);
-      }
+      const Pending& p = m.queue.front();
       const double t_end = p.start + p.dt;
       if (t_end > now) break;
 
@@ -110,6 +106,10 @@ StreamResult StreamEngine::run(JobSource& source) {
       }
       recorder_->push({seg_t0, t_end, jid, SpeedLaw::kPowerGrow, seg_u0, rho},
                       static_cast<int>(mi), /*completes=*/true);
+      if (ncpar) {
+        TRACE_EVENT(.kind = obs::EventKind::kDispatch, .t = p.start, .job = jid,
+                    .machine = static_cast<int>(mi), .value = u0, .label = "nc_par.fifo_pull");
+      }
       TRACE_EVENT(.kind = obs::EventKind::kSpeedChange, .t = p.start, .job = jid,
                   .machine = static_cast<int>(mi),
                   .value = kin.speed_at_weight(std::max(u0, 0.0)), .aux = u0);
@@ -117,7 +117,6 @@ StreamResult StreamEngine::run(JobSource& source) {
                   .machine = static_cast<int>(mi), .value = om.energy(),
                   .aux = om.fractional_flow());
 
-      m.frontier = t_end;
       result.makespan = std::max(result.makespan, t_end);
       arena.retire(p.slot);
       m.queue.pop_front();
@@ -128,21 +127,31 @@ StreamResult StreamEngine::run(JobSource& source) {
     for (std::size_t mi = 0; mi < machines.size(); ++mi) drain(mi, now);
   };
 
-  const auto dispatch_next = [&]() -> std::size_t {
+  // Round robin and least count pick machine i mod k for the i-th job (on a
+  // stream no count ever falls, so the least count cycles).  NC-PAR's global
+  // FIFO queue needs no storage: the head goes to the machine that drains
+  // first, and when each earlier job ends is fixed at its admission, so job
+  // j goes to the machine with the least max(frontier, r_j), lowest index on
+  // ties: FIFO list scheduling.  A machine whose last job took no time is
+  // still busy at that instant (its virtual C holds the job's weight), so it
+  // ranks after the machines idle then, as C-PAR's least-weight rule has it.
+  const auto dispatch_next = [&](double release) -> std::size_t {
     if (machines.size() == 1) return 0;
-    switch (options_.dispatch) {
-      case DispatchPolicy::kRoundRobin:
-        return static_cast<std::size_t>(arena.admitted() % machines.size());
-      case DispatchPolicy::kLeastCount: {
-        std::size_t best = 0;
-        for (std::size_t mi = 1; mi < machines.size(); ++mi) {
-          if (machines[mi].assigned < machines[best].assigned) best = mi;
-        }
-        return best;
+    if (!ncpar) return static_cast<std::size_t>(arena.admitted() % machines.size());
+    std::size_t best = 0;
+    double best_start = kInf;
+    bool best_late = true;
+    for (std::size_t mi = 0; mi < machines.size(); ++mi) {
+      const Machine& m = machines[mi];
+      const double start = std::max(m.frontier, release);
+      const bool late = m.zero_tail && m.frontier >= release;
+      if (start < best_start || (start == best_start && best_late && !late)) {
+        best = mi;
+        best_start = start;
+        best_late = late;
       }
-      case DispatchPolicy::kFirstFit: break;  // rejected in the constructor
     }
-    throw ModelError("StreamEngine: unsupported dispatch policy");
+    return best;
   };
 
   Job job;
@@ -165,7 +174,7 @@ StreamResult StreamEngine::run(JobSource& source) {
     TRACE_EVENT(.kind = obs::EventKind::kJobRelease, .t = job.release, .job = job.id,
                 .value = job.volume, .aux = job.density);
 
-    const std::size_t mi = dispatch_next();
+    const std::size_t mi = dispatch_next(job.release);
     Machine& m = machines[mi];
     // Virtual C tracker, kept as W^b where the decay is linear: decay to the
     // release, read the left limit u0 (a pow unless C is idle), add w and
@@ -178,9 +187,13 @@ StreamResult StreamEngine::run(JobSource& source) {
     m.c_weight_b = std::max(kin.pow_b(u0 + job.density * job.volume), u0b);
     m.c_time = job.release;
 
+    const double start = std::max(m.frontier, job.release);
+    const double dt = kin.band_time_pow(u0b, m.c_weight_b, rho);
+    m.frontier = start + dt;
+    m.zero_tail = m.frontier == start;
+
     const JobArena::Slot slot = arena.admit(job.id, job.release, job.volume, job.density);
-    m.queue.push_back({slot, u0, u0b, m.c_weight_b, 0.0, -1.0});
-    ++m.assigned;
+    m.queue.push_back({slot, u0, u0b, m.c_weight_b, start, dt});
   }
   drain_all(kInf);
 

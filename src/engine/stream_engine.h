@@ -30,11 +30,18 @@
 // batch run_nc_uniform_detailed.  `engine.stream/10M` (BENCH.json) pins the
 // 10M-job run with the RSS plateau asserted by bench/bench_engine_stream.cpp.
 //
-// Multi-machine mode dispatches arrivals across k machines with the
-// observable-information policies of algo/dispatch.h (round robin / least
-// count; first-fit needs the job count up front, which a stream does not
-// have) and runs one independent NC machine — virtual-C tracker included —
-// per real machine, the NCPar shape of algo/parallel.h.
+// On k machines each machine runs its own NC, virtual-C tracker included,
+// and `dispatch` picks the machine at admission.  kNcPar is the paper's
+// NC-PAR (Theorem 17): a global FIFO queue from which a drained machine takes
+// the head.  The queue is never stored.  Every admitted job's start and end
+// are fixed at admission, so the machine the head would reach is known then:
+// the one with the least max(frontier, r_j), lowest index first (FIFO list
+// scheduling).  Each machine still sees its jobs in release order, so its
+// tracker works as on one machine, and run_nc_par (algo/parallel.h) is this
+// engine with a ring of n segments.  kRoundRobin and kLeastCount are the
+// immediate rules of algo/dispatch.h that Section 6 proves
+// Omega(k^{1-1/alpha}); on a stream both send job i to machine i mod k.
+// First-fit needs the job count up front, which a stream does not have.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +78,7 @@ class StreamEngine {
   explicit StreamEngine(const StreamOptions& options);
 
   /// Consumes `source` to exhaustion.  Throws ModelError on non-uniform
-  /// densities, a decreasing release, or an unsupported dispatch policy.
+  /// densities or a decreasing release.
   /// One run per engine instance.
   StreamResult run(JobSource& source);
 

@@ -187,13 +187,6 @@ void CMachine::run_to_completion() { advance_to(kInf); }
 
 bool CMachine::drained() const { return active_.empty() && pending_.empty(); }
 
-double CMachine::remaining_weight_left(double t) const {
-  if (t > now_ + 1e-12 * std::max(1.0, now_)) {
-    throw ModelError("CMachine::remaining_weight_left: t beyond simulation frontier");
-  }
-  return c_remaining_weight_left(schedule_, t);
-}
-
 double CMachine::remaining_volume(JobId id) const { return state(id).remaining; }
 
 double CMachine::remaining_weight_of(JobId id) const {

@@ -10,11 +10,13 @@
 // CMachine is *incremental*: jobs may be appended while the simulation
 // frontier advances, as long as each job's release time is at or after the
 // frontier.  This is exactly what the higher layers need:
-//   * Algorithm NC (Section 3) queries W^C(r[j]^-) of a virtual C run;
 //   * C-PAR (Section 6) dispatches arriving jobs to the machine with least
 //     remaining weight, then resumes each machine;
-//   * NC-PAR maintains one virtual CMachine per real machine;
 //   * the non-uniform Algorithm NC re-solves C on the evolving instance I(t).
+// Uniform NC and NC-PAR run no CMachine: they need only C's total remaining
+// weight, which engine::StreamEngine tracks in O(1) per machine.
+// c_remaining_weight_left reads the same left limit W^C(t^-) off a recorded
+// C schedule.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +55,6 @@ class CMachine {
 
   /// Total remaining weight W(frontier) — the value driving the speed.
   [[nodiscard]] double remaining_weight() const { return total_weight_; }
-
-  /// Left limit W(t^-) for any t <= frontier: the remaining weight just
-  /// before time t, excluding jobs released exactly at t.  This is the
-  /// quantity W^C(r[j]^-) in the definition of Algorithm NC.
-  [[nodiscard]] double remaining_weight_left(double t) const;
 
   /// Remaining volume of a job (by the id it carried in add_job).
   [[nodiscard]] double remaining_volume(JobId id) const;

@@ -131,10 +131,10 @@ TEST(CMachine, RemainingWeightLeftIsLeftLimit) {
   const PowerLawKinematics kin(alpha);
   // Just before the second release: W decayed from 1 for 0.5 time units.
   const double expect = kin.decay_weight_after(1.0, 1.0, 0.5);
-  EXPECT_NEAR(m.remaining_weight_left(0.5), expect, 1e-12);
+  EXPECT_NEAR(c_remaining_weight_left(m.schedule(), 0.5), expect, 1e-12);
   // Just after: the jump is visible in remaining_weight at a later query
   // point, not in the left limit.
-  EXPECT_NEAR(m.remaining_weight_left(0.5 + 1e-9), expect + 1.0, 1e-6);
+  EXPECT_NEAR(c_remaining_weight_left(m.schedule(), 0.5 + 1e-9), expect + 1.0, 1e-6);
 }
 
 TEST(CMachine, IncrementalAdditionMatchesBatch) {
@@ -162,7 +162,6 @@ TEST(CMachine, RejectsMisuse) {
   m.advance_to(5.0);
   EXPECT_THROW(m.add_job(Job{1, 2.0, 1.0, 1.0}), ModelError);   // past release
   EXPECT_THROW(m.advance_to(1.0), ModelError);                  // backwards
-  EXPECT_THROW((void)m.remaining_weight_left(99.0), ModelError);      // beyond frontier
   EXPECT_THROW((void)m.remaining_volume(77), ModelError);             // unknown id
 }
 

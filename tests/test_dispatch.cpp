@@ -34,6 +34,10 @@ TEST(Dispatch, FirstFitFillsInOrder) {
   EXPECT_EQ(a[3], 1);
 }
 
+TEST(Dispatch, NcParIsNotAnImmediateRule) {
+  EXPECT_THROW((void)dispatch_identical(DispatchPolicy::kNcPar, 2, 4), ModelError);
+}
+
 class AdversaryPolicy : public ::testing::TestWithParam<DispatchPolicy> {};
 
 TEST_P(AdversaryPolicy, PigeonholeLoadsAtLeastKJobs) {

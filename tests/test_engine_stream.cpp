@@ -20,6 +20,7 @@
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_nonuniform.h"
 #include "src/algo/algorithm_nc_uniform.h"
+#include "src/algo/parallel.h"
 #include "src/core/kinematics.h"
 #include "src/core/power.h"
 #include "src/engine/job_arena.h"
@@ -368,6 +369,82 @@ TEST(NCUniformBatch, MatchesLongDoubleReferenceOnEdgeGrid) {
   }
 }
 
+TEST(NCPar, MatchesLongDoubleReferenceOnEdgeGrid) {
+  // NC-PAR runs Algorithm NC on each machine over the jobs the queue sends
+  // there, so the reference run on each part of the run's own assignment is
+  // its reference.  It is held to the NC batch path's bound on the online
+  // metrics, the replayed metrics, the makespan, the starts and the offsets
+  // (read off each job's segment, relative to u0 + w_j; a job whose segment
+  // took no time has none in the Schedule and is skipped).
+  constexpr double kRelBound = 1e-10;
+  for (const std::string kind : {"ties", "volumes", "horizon"}) {
+    const Instance inst = edge_instance(kind);
+    for (const int k : {2, 4}) {
+      for (const double alpha : {1.01, 1.5, 3.0, 8.0}) {
+        SCOPED_TRACE(kind + " k " + std::to_string(k) + " alpha " + std::to_string(alpha));
+        const ParallelRun run = run_nc_par(inst, alpha, k);
+        std::vector<std::vector<Job>> parts(static_cast<std::size_t>(k));
+        std::vector<std::vector<JobId>> global_ids(static_cast<std::size_t>(k));
+        for (const JobId id : inst.fifo_order()) {
+          const auto m = static_cast<std::size_t>(run.assignment[static_cast<std::size_t>(id)]);
+          parts[m].push_back(inst.job(id));
+          global_ids[m].push_back(id);
+        }
+        long double energy = 0.0L, frac = 0.0L, integral = 0.0L, makespan = 0.0L;
+        std::vector<long double> offsets(inst.size()), starts(inst.size());
+        for (std::size_t m = 0; m < parts.size(); ++m) {
+          if (parts[m].empty()) continue;
+          const testing_ref::LongDoubleNcRun ref =
+              testing_ref::nc_uniform_long_double(Instance(parts[m]), alpha);
+          energy += ref.energy;
+          frac += ref.fractional_flow;
+          integral += ref.integral_flow;
+          makespan = std::max(makespan, ref.makespan);
+          for (std::size_t i = 0; i < global_ids[m].size(); ++i) {
+            offsets[static_cast<std::size_t>(global_ids[m][i])] = ref.offsets[i];
+            starts[static_cast<std::size_t>(global_ids[m][i])] = ref.starts[i];
+          }
+        }
+        ASSERT_TRUE(run.online.has_value());
+        double run_makespan = 0.0;
+        double off = 0.0;
+        for (const Schedule& sched : run.schedules) {
+          run_makespan = std::max(run_makespan, sched.makespan());
+          for (const Segment& seg : sched.segments()) {
+            const auto j = static_cast<std::size_t>(seg.job);
+            off = std::max(off, static_cast<double>(std::fabs(seg.param - offsets[j]) /
+                                                    (offsets[j] + inst.job(seg.job).weight())));
+          }
+        }
+        double st = 0.0;
+        for (std::size_t j = 0; j < inst.size(); ++j) {
+          st = std::max(st, rel_error(run.start_times[j], starts[j]));
+        }
+        const double e = rel_error(run.online->energy, energy);
+        const double ff = rel_error(run.online->fractional_flow, frac);
+        const double fi = rel_error(run.online->integral_flow, integral);
+        const double mk = rel_error(run_makespan, makespan);
+        const double re = rel_error(run.metrics.energy, energy);
+        const double rff = rel_error(run.metrics.fractional_flow, frac);
+        const double rfi = rel_error(run.metrics.integral_flow, integral);
+        EXPECT_LE(e, kRelBound);
+        EXPECT_LE(ff, kRelBound);
+        EXPECT_LE(fi, kRelBound);
+        EXPECT_LE(mk, kRelBound);
+        EXPECT_LE(off, kRelBound);
+        EXPECT_LE(st, kRelBound);
+        EXPECT_LE(re, kRelBound);
+        EXPECT_LE(rff, kRelBound);
+        EXPECT_LE(rfi, kRelBound);
+        std::printf("  long double ref (ncpar) %-7s k=%d alpha=%-4g energy %.2e  frac_flow %.2e  "
+                    "int_flow %.2e  makespan %.2e  offsets %.2e  starts %.2e  | replay "
+                    "energy %.2e  frac_flow %.2e  int_flow %.2e\n",
+                    kind.c_str(), k, alpha, e, ff, fi, mk, off, st, re, rff, rfi);
+      }
+    }
+  }
+}
+
 TEST(AlgorithmC, MatchesLongDoubleReferenceOnEdgeGrid) {
   // The lemmas make the NC reference an oracle for C as well: C and NC
   // spend the same energy (Lemma 3), and C's fractional flow, which is its
@@ -421,8 +498,9 @@ TEST(StreamEngine, OnlineMatchesReplayedRingSchedule) {
 }
 
 TEST(StreamEngine, RoundRobinMachinesMatchPerPartitionRuns) {
-  // k machines, round-robin dispatch: each machine runs an independent NC
-  // instance, so the engine must equal the sum of per-partition exact runs.
+  // k machines, round-robin or least-count dispatch: each machine runs an
+  // independent NC instance, so the engine must equal the sum of
+  // per-partition exact runs.
   const double alpha = 2.0;
   const int k = 3;
   const Instance inst = uniform_instance(90, 23);
@@ -447,19 +525,38 @@ TEST(StreamEngine, RoundRobinMachinesMatchPerPartitionRuns) {
     }
   }
 
-  StreamOptions options;
-  options.alpha = alpha;
-  options.machines = k;
-  options.dispatch = DispatchPolicy::kRoundRobin;
-  StreamEngine eng(options);
-  InstanceJobSource source(inst);
-  const StreamResult res = eng.run(source);
-  EXPECT_EQ(res.jobs, inst.size());
-  EXPECT_NEAR(res.online.energy, want.energy, 1e-9 * want.energy);
-  EXPECT_NEAR(res.online.fractional_flow, want.fractional_flow,
-              1e-9 * want.fractional_flow);
-  EXPECT_NEAR(res.online.integral_flow, want.integral_flow, 1e-9 * want.integral_flow);
-  EXPECT_NEAR(res.makespan, want_makespan, 1e-9 * std::max(1.0, want_makespan));
+  // On a stream least count sends job i to machine i mod k as well, so the
+  // two rules give the same run, bit for bit.
+  std::vector<StreamResult> results;
+  for (const DispatchPolicy policy : {DispatchPolicy::kRoundRobin, DispatchPolicy::kLeastCount}) {
+    StreamOptions options;
+    options.alpha = alpha;
+    options.machines = k;
+    options.dispatch = policy;
+    StreamEngine eng(options);
+    InstanceJobSource source(inst);
+    const StreamResult res = eng.run(source);
+    EXPECT_EQ(res.jobs, inst.size());
+    EXPECT_NEAR(res.online.energy, want.energy, 1e-9 * want.energy);
+    EXPECT_NEAR(res.online.fractional_flow, want.fractional_flow,
+                1e-9 * want.fractional_flow);
+    EXPECT_NEAR(res.online.integral_flow, want.integral_flow, 1e-9 * want.integral_flow);
+    EXPECT_NEAR(res.makespan, want_makespan, 1e-9 * std::max(1.0, want_makespan));
+    results.push_back(res);
+  }
+  const StreamResult& rr = results[0];
+  const StreamResult& lc = results[1];
+  EXPECT_EQ(lc.online.energy, rr.online.energy);
+  EXPECT_EQ(lc.online.fractional_flow, rr.online.fractional_flow);
+  EXPECT_EQ(lc.online.integral_flow, rr.online.integral_flow);
+  EXPECT_EQ(lc.jobs, rr.jobs);
+  EXPECT_EQ(lc.makespan, rr.makespan);
+  EXPECT_EQ(lc.arena_high_water, rr.arena_high_water);
+  EXPECT_EQ(lc.arena_capacity, rr.arena_capacity);
+  EXPECT_EQ(lc.segments_recorded, rr.segments_recorded);
+  EXPECT_EQ(lc.segments_dropped, rr.segments_dropped);
+  EXPECT_EQ(lc.spill_lines, rr.spill_lines);
+  EXPECT_EQ(lc.pow_calls, rr.pow_calls);
 }
 
 TEST(StreamEngine, RejectsBadConfigurationsAndInputs) {

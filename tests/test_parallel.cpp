@@ -136,6 +136,20 @@ TEST(Parallel, TiedReleasesKeepLemma20AndIdentities) {
               1e-9 * std::max(1.0, nc.metrics.fractional_flow));
 }
 
+TEST(Parallel, ZeroLengthJobKeepsItsMachineBusyAtItsRelease) {
+  // At t = 1 a 1e-300 volume takes ~1e-150 of time, below ulp(1): NC-PAR
+  // finishes job 0 at its own start.  Its machine still holds job 0's weight
+  // in C-PAR's view, so job 1 goes to the idle machine 1; job 2 then finds
+  // machine 0 free at t = 1 and machine 1 busy.
+  const Instance inst({Job{kNoJob, 1.0, 1e-300, 1.0}, Job{kNoJob, 1.0, 1.0, 1.0},
+                       Job{kNoJob, 1.0, 1.0, 1.0}});
+  const ParallelRun c = run_c_par(inst, 2.0, 2);
+  const ParallelRun nc = run_nc_par(inst, 2.0, 2);
+  EXPECT_EQ(nc.assignment, (std::vector<MachineId>{0, 1, 0}));
+  EXPECT_EQ(c.assignment, nc.assignment);
+  EXPECT_EQ(nc.start_times, (std::vector<double>{1.0, 1.0, 1.0}));
+}
+
 // Lemma 20 at scale on completion/release near-ties: 4096-job instances
 // (seed * 1000003 + index, as perfbench's batch workload draws them) at
 // alpha = 1.5, where a machine holding ~1e-16 of weight must not count as
