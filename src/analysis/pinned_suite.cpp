@@ -13,6 +13,7 @@
 #include "src/obs/cert/potential_tracker.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
+#include "src/opt/convex_opt.h"
 #include "src/robust/guarded_engine.h"
 #include "src/sim/numeric_engine.h"
 #include "src/workload/generators.h"
@@ -175,6 +176,17 @@ std::vector<PinnedBench> build_pinned_suite() {
          options.recorder.mode = engine::RecordMode::kOff;
          engine::StreamEngine eng(options);
          (void)eng.run(source);
+       }},
+      // FISTA on the sweep's density-class solve shape, 32 jobs at 200
+      // slots (the instance of the opt/classes32 bit-pin lines).  Pins its work (opt.fista.iterations, .projections) and that it
+      // certifies without growing its trim (opt.fista.uncertified and
+      // .grows stay 0, so the ledger has no entry for them and any count
+      // shows up as a new, diverging counter).
+      {"opt.fista/32x200",
+       [] {
+         const Instance inst = workload::generate(
+             {.n_jobs = 32, .density_mode = workload::DensityMode::kClasses, .seed = 1000004});
+         (void)solve_fractional_opt(inst, kAlpha, {.slots = 200});
        }},
       // The sweep-engine determinism pair: same 8-point suite grid at inner
       // jobs 1 and 8.  Identical counters (incl. opt.cache.hits/misses from

@@ -16,7 +16,11 @@
 //   - mixed densities: each job's feasible set is a scaled simplex, and the
 //     program is solved by FISTA (accelerated projected gradient with
 //     backtracking and restart).  Its result is a feasible point, so its
-//     objective is an upper bound on the grid optimum.
+//     objective is an upper bound on the grid optimum.  FISTA stops when the
+//     grid's Lagrangian dual at the point's job prices proves it within
+//     rel_tol of the grid optimum.  It iterates only over the slots up to a
+//     little past Algorithm C's makespan, and grows that range when the
+//     dual shows the optimum needs more; the range never decides the answer.
 //
 // This numerical OPT is the denominator for every theorem-level competitive
 // ratio we report (Table 1); the exact single-job optimum (single_job_opt.h)
@@ -36,8 +40,11 @@ namespace speedscale {
 struct ConvexOptParams {
   int slots = 600;        ///< number of time slots
   double horizon = 0.0;   ///< 0 = auto: 3x the Algorithm C makespan
-  int max_iters = 6000;   ///< FISTA only
-  double rel_tol = 1e-10; ///< FISTA only: stop when relative improvement stays below this
+  int max_iters = 6000;   ///< FISTA only: the iteration cap
+  /// FISTA only: the certified relative gap.  FISTA stops once
+  /// (objective - dual) <= rel_tol * |objective|; a negative value never
+  /// stops it before max_iters.
+  double rel_tol = 1e-9;
   /// Weight of the energy term: the solver minimizes
   /// energy_weight * E + F.  1.0 is the paper's objective; other values are
   /// the Lagrangian of the energy-budgeted problem (see budgeted.h).
@@ -48,6 +55,18 @@ struct ConvexOptResult {
   double energy = 0.0;
   double fractional_flow = 0.0;
   double objective = 0.0;
+  /// A lower bound on the grid optimum: the grid's Lagrangian dual
+  /// sum_j mu_j V_j - sum_i w h P*(m_i / w) at job prices mu_j, with P* the
+  /// conjugate of s^alpha and m_i the largest mu_j - rho_j (t_i - r_j) over
+  /// the jobs allowed in slot i, or 0.  The exact single-density path
+  /// takes its water levels as the prices and meets `objective` to
+  /// rounding.  FISTA takes the prices that make its point's support
+  /// exactly optimal, and certifies its result when
+  /// objective - dual <= rel_tol * |objective|; a FISTA solve that runs out
+  /// of iterations first still reports the best bound it found, and counts
+  /// opt.fista.uncertified.  It bounds the grid, not the continuous
+  /// optimum below it (ROADMAP item 13).
+  double dual = 0.0;
   /// FISTA iterations; on the single-density path, the level solver's
   /// Newton/bisection steps summed over its solves.
   int iterations = 0;
@@ -75,6 +94,25 @@ namespace detail {
 /// exact path is tested against, and the kernel's own differential tests.
 [[nodiscard]] ConvexOptResult solve_fractional_opt_fista(const Instance& instance, double alpha,
                                                          const ConvexOptParams& params);
+
+/// The lower bound FISTA stops on, split at its trim.
+struct GridDual {
+  double trimmed = 0.0;  ///< the dual of the program on slots [0, active) alone
+  double full = 0.0;     ///< the whole grid's: `trimmed` less the slots past the trim
+};
+
+/// FISTA takes its bound every this many iterations.
+inline constexpr int kFistaDualEvery = 8;
+
+/// FISTA's bound at a point x of the grid program, laid out job-major
+/// (x[j * slots + i]) and zero past slot `active`: the grid dual at the
+/// prices that make x's support exactly optimal.  `price` holds each job's
+/// price, read as the level solve's start (NaN for none) and written with
+/// the prices the bound was taken at.  Exposed so tests can replay FISTA's
+/// stop decisions.
+[[nodiscard]] GridDual fista_grid_dual(const Instance& instance, double alpha,
+                                       const ConvexOptParams& params, double horizon, int active,
+                                       const std::vector<double>& x, std::vector<double>& price);
 }  // namespace detail
 
 }  // namespace speedscale

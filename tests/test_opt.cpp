@@ -14,6 +14,7 @@
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_uniform.h"
 #include "src/algo/bounds.h"
+#include "src/obs/metrics_registry.h"
 #include "src/opt/convex_opt.h"
 #include "src/opt/single_job_opt.h"
 #include "src/workload/generators.h"
@@ -139,6 +140,10 @@ TEST(ConvexOpt, RefinementImprovesOrMatches) {
 /// oracle it must match bit for bit: x[j * N + i] summed slot by slot, sigma
 /// recomputed for the gradient and the objective, pow on every slot, the
 /// marginal reallocated per gradient and a sort-based projection per row.
+/// It runs the kernel's trim and stop: slots up to that of 1.2x Algorithm
+/// C's makespan, grown by half when the slots past them lower the bound by
+/// more than the trimmed program's gap, and a stop once
+/// detail::fista_grid_dual certifies the iterate within rel_tol.
 namespace reference {
 
 void project_simplex(std::span<double> x, double total) {
@@ -162,6 +167,7 @@ struct Problem {
   const Instance& instance;
   double alpha;
   int n_slots;
+  int active;  ///< the trim: slots [0, active) carry volume
   double h;
   double energy_weight = 1.0;
   std::vector<int> first_slot;
@@ -212,56 +218,77 @@ struct Problem {
     }
   }
 
-  void project(std::vector<double>& x) const {
+  /// cand = Proj(y - (g - least) / lipschitz) row by row over [first, active),
+  /// least the row's smallest gradient there (the projection ignores it).
+  void step(const std::vector<double>& y, const std::vector<double>& g, double lipschitz,
+            std::vector<double>& cand) const {
+    std::fill(cand.begin(), cand.end(), 0.0);
     for (const Job& j : instance.jobs()) {
       const int f = first_slot[static_cast<std::size_t>(j.id)];
-      std::span<double> row(x.data() + idx(j.id, f), static_cast<std::size_t>(n_slots - f));
-      project_simplex(row, j.volume);
-      for (int i = 0; i < f; ++i) x[idx(j.id, i)] = 0.0;
+      double least = std::numeric_limits<double>::infinity();
+      for (int i = f; i < active; ++i) least = std::min(least, g[idx(j.id, i)]);
+      for (int i = f; i < active; ++i) {
+        cand[idx(j.id, i)] = y[idx(j.id, i)] - (g[idx(j.id, i)] - least) / lipschitz;
+      }
+      project_simplex(std::span<double>(cand.data() + idx(j.id, f),
+                                        static_cast<std::size_t>(active - f)),
+                      j.volume);
     }
   }
 };
 
-ConvexOptResult solve(const Instance& instance, double alpha, const ConvexOptParams& params) {
+/// With `trim` false, the program on the whole grid from the start.
+ConvexOptResult solve(const Instance& instance, double alpha, const ConvexOptParams& params,
+                      bool trim = true) {
   double horizon = params.horizon;
+  double c_makespan = run_algorithm_c(instance, alpha).makespan();
   if (horizon <= 0.0) {
-    const Schedule c = run_algorithm_c(instance, alpha);
-    horizon = 3.0 * std::max(c.makespan(), 1e-12);
+    horizon = 3.0 * std::max(c_makespan, 1e-12);
+    c_makespan = horizon / 3.0;
   }
   const int N = params.slots;
-  Problem prob{instance, alpha, N, horizon / N, params.energy_weight, {}, {}};
+  Problem prob{instance, alpha, N, N, horizon / N, params.energy_weight, {}, {}};
   prob.first_slot.resize(instance.size());
   prob.mid.resize(static_cast<std::size_t>(N));
   for (int i = 0; i < N; ++i) {
     prob.mid[static_cast<std::size_t>(i)] = (static_cast<double>(i) + 0.5) * prob.h;
   }
+  int last_first = 0;
   for (const Job& j : instance.jobs()) {
     int f = static_cast<int>(std::ceil(j.release / prob.h - 1e-12));
     f = std::min(f, N - 1);
     prob.first_slot[static_cast<std::size_t>(j.id)] = f;
+    last_first = std::max(last_first, f);
   }
+  prob.active = trim ? std::min(N, std::max(static_cast<int>(std::floor(1.2 * c_makespan / prob.h)) + 1,
+                                            last_first + 1))
+                     : N;
   const std::size_t dim = instance.size() * static_cast<std::size_t>(N);
   std::vector<double> x(dim, 0.0);
   for (const Job& j : instance.jobs()) {
     const int f = prob.first_slot[static_cast<std::size_t>(j.id)];
-    const double per = j.volume / static_cast<double>(N - f);
-    for (int i = f; i < N; ++i) x[prob.idx(j.id, i)] = per;
+    const double per = j.volume / static_cast<double>(prob.active - f);
+    for (int i = f; i < prob.active; ++i) x[prob.idx(j.id, i)] = per;
   }
   std::vector<double> x_prev = x;
   std::vector<double> y = x;
   std::vector<double> g(dim), cand(dim);
+  std::vector<double> price(instance.size(), std::numeric_limits<double>::quiet_NaN());
   double tk = 1.0;
   double lipschitz = 1.0;
+  double lipschitz_floor = 0.0;
   double best_obj = prob.objective(x);
-  int stall = 0;
+  double fx = best_obj;
+  double dual = -std::numeric_limits<double>::infinity();
+  bool certified = false;
   int iter = 0;
-  for (; iter < params.max_iters; ++iter) {
+  const auto gap_ok = [&](double lower) { return fx - lower <= params.rel_tol * std::abs(fx); };
+  while (iter < params.max_iters) {
     prob.gradient(y, g);
     const double fy = prob.objective(y);
     double fx_new = 0.0;
     for (int bt = 0; bt < 60; ++bt) {
-      for (std::size_t d = 0; d < dim; ++d) cand[d] = y[d] - g[d] / lipschitz;
-      prob.project(cand);
+      prob.step(y, g, lipschitz, cand);
       fx_new = prob.objective(cand);
       double lin = 0.0, quad = 0.0;
       for (std::size_t d = 0; d < dim; ++d) {
@@ -270,6 +297,7 @@ ConvexOptResult solve(const Instance& instance, double alpha, const ConvexOptPar
         quad += diff * diff;
       }
       if (fx_new <= fy + lin + 0.5 * lipschitz * quad + 1e-14 * std::abs(fy)) break;
+      lipschitz_floor = lipschitz;
       lipschitz *= 2.0;
     }
     const double tk1 = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * tk * tk));
@@ -285,18 +313,33 @@ ConvexOptResult solve(const Instance& instance, double alpha, const ConvexOptPar
       x = cand;
       tk = tk1;
     }
-    const double improvement = (best_obj - fx_new) / std::max(1.0, std::abs(best_obj));
+    fx = fx_new;
     if (fx_new < best_obj) best_obj = fx_new;
-    if (improvement < params.rel_tol) {
-      if (++stall > 50) break;
-    } else {
-      stall = 0;
+    lipschitz_floor *= 0.99;
+    lipschitz = std::max(0.9 * lipschitz, lipschitz_floor);
+    if (++iter % detail::kFistaDualEvery != 0) continue;
+    const detail::GridDual d =
+        detail::fista_grid_dual(instance, alpha, params, horizon, prob.active, x, price);
+    dual = std::max(dual, d.full);
+    if (gap_ok(dual)) {
+      certified = true;
+      break;
     }
-    lipschitz *= 0.9;
+    if (prob.active < N && d.trimmed - d.full > fx - d.trimmed) {
+      prob.active = std::min(N, prob.active + (prob.active + 1) / 2);
+      tk = 1.0;
+      y = x;
+      x_prev = x;
+    }
+  }
+  if (!certified) {
+    dual = std::max(
+        dual, detail::fista_grid_dual(instance, alpha, params, horizon, prob.active, x, price).full);
   }
   ConvexOptResult out;
   out.iterations = iter;
   out.horizon = horizon;
+  out.dual = dual;
   out.objective = prob.objective(x, &out.energy, &out.fractional_flow);
   out.slot_speed.resize(static_cast<std::size_t>(N));
   for (int i = 0; i < N; ++i) {
@@ -337,6 +380,10 @@ TEST(ConvexOpt, JobMajorKernelMatchesSlotMajorReference) {
                              Job{kNoJob, 9.6, 0.25, 4.0}}),
                    {.slots = 20, .horizon = 10.0}});
   cases.push_back({"single", Instance({Job{kNoJob, 0.0, 1.0, 1.0}}), {.slots = 150}});
+  // At alpha >= 3 the optimum outlasts the first trim, which grows.
+  cases.push_back({"outlasts",
+                   Instance({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.0, 1.0, 2.0}}),
+                   {.slots = 120, .horizon = 10.0}});
   cases.push_back({"weighted", workload::generate({.n_jobs = 6, .seed = 33}),
                    {.slots = 80, .energy_weight = 0.3}});
   for (const Case& c : cases) {
@@ -349,6 +396,7 @@ TEST(ConvexOpt, JobMajorKernelMatchesSlotMajorReference) {
       EXPECT_EQ(got.iterations, want.iterations);
       EXPECT_TRUE(same_bits(got.objective, want.objective))
           << got.objective << " vs " << want.objective;
+      EXPECT_TRUE(same_bits(got.dual, want.dual)) << got.dual << " vs " << want.dual;
       EXPECT_TRUE(same_bits(got.energy, want.energy));
       EXPECT_TRUE(same_bits(got.fractional_flow, want.fractional_flow));
       EXPECT_TRUE(same_bits(got.horizon, want.horizon));
@@ -447,9 +495,7 @@ constexpr double kExactAlphas[] = {1.01, 1.5, 2.0, 3.0, 8.0};
 
 /// The exact optimum is never above FISTA's feasible point, and a long FISTA
 /// run approaches it.  The long run is no oracle at alpha = 1.01, where
-/// FISTA stalls up to 0.3% above the optimum, nor on "t1e7", where its
-/// unbounded step lets the projection lose the volume's digits; the dual
-/// test below covers both.
+/// FISTA stalls up to 0.3% above the optimum; the dual test below covers it.
 TEST(ConvexOpt, ExactSingleDensityMatchesFista) {
   for (const ExactCase& c : exact_cases()) {
     for (double alpha : kExactAlphas) {
@@ -460,10 +506,10 @@ TEST(ConvexOpt, ExactSingleDensityMatchesFista) {
       EXPECT_LE(exact.objective, fista.objective + 1e-12 * scale);
       EXPECT_EQ(exact.horizon, fista.horizon);
       EXPECT_EQ(exact.objective, c.params.energy_weight * exact.energy + exact.fractional_flow);
-      if (alpha < 1.5 || c.name == "t1e7") continue;
+      if (alpha < 1.5) continue;
       ConvexOptParams long_params = c.params;
       long_params.max_iters = 1500;
-      long_params.rel_tol = -1.0;  // never stall: all 1500 iterations
+      long_params.rel_tol = -1.0;  // never certified: all 1500 iterations
       const ConvexOptResult long_run =
           detail::solve_fractional_opt_fista(c.instance, alpha, long_params);
       EXPECT_LE(exact.objective, long_run.objective + 1e-12 * scale);
@@ -520,8 +566,161 @@ TEST(ConvexOpt, ExactSingleDensityMeetsItsLagrangianDual) {
       const ConvexOptResult r = solve_fractional_opt(c.instance, alpha, c.params);
       const double dual = lagrangian_dual(c.instance, alpha, c.params.energy_weight, r);
       EXPECT_NEAR(dual, r.objective, 1e-12 * std::abs(r.objective));
+      // The solver's own dual, taken at its water levels.
+      EXPECT_NEAR(r.dual, dual, 1e-12 * std::abs(r.objective));
     }
   }
+}
+
+/// Mixed-density shapes: the sweep's 32-job density-class point, a smaller
+/// one, ties, a late job alone in the last slot, and eight jobs confined to
+/// the last slot at t ~ 1e7, where the gradient is ~1e4 times the volume.
+std::vector<ExactCase> mixed_cases() {
+  std::vector<ExactCase> out;
+  workload::WorkloadParams cp;
+  cp.n_jobs = 32;
+  cp.seed = 1000004;
+  cp.density_mode = workload::DensityMode::kClasses;
+  out.push_back({"classes32", workload::generate(cp), {.slots = 200}});
+  out.push_back({"classes10",
+                 workload::generate({.n_jobs = 10,
+                                     .density_mode = workload::DensityMode::kClasses,
+                                     .seed = 32}),
+                 {.slots = 100}});
+  out.push_back({"tied",
+                 Instance({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.0, 2.0, 1.0},
+                           Job{kNoJob, 1.5, 0.5, 3.0}, Job{kNoJob, 1.5, 0.5, 3.0},
+                           Job{kNoJob, 1.5, 1.5, 0.5}}),
+                 {.slots = 90}});
+  out.push_back({"last-slot",
+                 Instance({Job{kNoJob, 0.0, 2.0, 1.0}, Job{kNoJob, 3.0, 1.0, 2.0},
+                           Job{kNoJob, 9.6, 0.25, 4.0}}),
+                 {.slots = 20, .horizon = 10.0}});
+  std::vector<Job> late;
+  const double density[] = {1.5, 3.0, 0.5, 2.0, 1.0, 4.0, 1.5, 0.75};
+  for (int k = 0; k < 8; ++k) late.push_back(Job{kNoJob, 1e7 + 0.9 * k, 1.0 + 0.1 * k, density[k]});
+  out.push_back({"t1e7", Instance(late), {.slots = 200, .horizon = 1e7 + 20.0}});
+  return out;
+}
+
+std::int64_t counter(const char* name) { return obs::registry().counter(name).value(); }
+
+/// The whole volume is scheduled: sum_i h s_i = sum_j V_j.
+void expect_volume_done(const Instance& inst, const ConvexOptResult& r) {
+  const double h = r.horizon / static_cast<double>(r.slot_speed.size());
+  double done = 0.0;
+  for (double s : r.slot_speed) done += s * h;
+  EXPECT_NEAR(done, inst.total_volume(), 1e-13 * inst.total_volume());
+}
+
+/// FISTA's dual is a lower bound that certifies its result: dual <= objective
+/// (to rounding) and objective - dual <= rel_tol |objective| on every mixed
+/// shape, with opt.fista.uncertified left at 0.  On single-density shapes
+/// it never exceeds the exact optimum, certified or not, and every solve it
+/// does not certify is counted.
+TEST(ConvexOpt, FistaCertifiesItsGridGap) {
+  obs::registry().reset_all();
+  obs::set_metrics_enabled(true);
+  const double rel_tol = ConvexOptParams{}.rel_tol;
+  for (const ExactCase& c : mixed_cases()) {
+    for (double alpha : {1.5, 2.0, 3.0, 8.0}) {
+      SCOPED_TRACE(c.name + " alpha=" + std::to_string(alpha));
+      const ConvexOptResult r = solve_fractional_opt(c.instance, alpha, c.params);
+      const double scale = std::abs(r.objective);
+      EXPECT_LE(r.dual, r.objective + 1e-14 * scale);
+      EXPECT_LE(r.objective - r.dual, rel_tol * scale);
+      expect_volume_done(c.instance, r);
+    }
+  }
+  EXPECT_EQ(counter("opt.fista.uncertified"), 0);
+  int uncertified = 0;
+  for (const ExactCase& c : exact_cases()) {
+    for (double alpha : {1.01, 1.1, 1.5, 2.0, 3.0, 8.0}) {
+      SCOPED_TRACE(c.name + " alpha=" + std::to_string(alpha));
+      const ConvexOptResult exact = solve_fractional_opt(c.instance, alpha, c.params);
+      const ConvexOptResult r = detail::solve_fractional_opt_fista(c.instance, alpha, c.params);
+      const double scale = std::abs(exact.objective);
+      EXPECT_LE(r.dual, exact.objective + 1e-13 * scale);
+      EXPECT_LE(exact.objective - exact.dual, 1e-12 * scale);
+      if (r.objective - r.dual > rel_tol * std::abs(r.objective)) {
+        ++uncertified;
+        EXPECT_EQ(r.iterations, c.params.max_iters);
+      }
+    }
+  }
+  EXPECT_EQ(counter("opt.fista.uncertified"), uncertified);
+  obs::registry().reset_all();
+  obs::set_metrics_enabled(false);
+}
+
+/// Near alpha = 1 FISTA cannot always close the gap before max_iters.  It
+/// then still reports its dual, and counts the solve, instead of stopping
+/// silently above the optimum.
+TEST(ConvexOpt, FistaReportsTheGapItCannotClose) {
+  obs::registry().reset_all();
+  obs::set_metrics_enabled(true);
+  int uncertified = 0;
+  for (const ExactCase& c : mixed_cases()) {
+    for (double alpha : {1.01, 1.1}) {
+      SCOPED_TRACE(c.name + " alpha=" + std::to_string(alpha));
+      ConvexOptParams params = c.params;
+      params.max_iters = 1000;
+      const ConvexOptResult r = solve_fractional_opt(c.instance, alpha, params);
+      const double scale = std::abs(r.objective);
+      EXPECT_LE(r.dual, r.objective + 1e-14 * scale);
+      if (r.objective - r.dual > params.rel_tol * scale) {
+        ++uncertified;
+        EXPECT_EQ(r.iterations, params.max_iters);
+      }
+    }
+  }
+  EXPECT_GT(uncertified, 0);  // classes32 at alpha = 1.1
+  EXPECT_EQ(counter("opt.fista.uncertified"), uncertified);
+  obs::registry().reset_all();
+  obs::set_metrics_enabled(false);
+}
+
+/// At alpha >= 3 the optimum of jobs released together outlasts 1.2x
+/// Algorithm C's makespan, so FISTA's first trim is too short.  The bound
+/// sees the slots past it, the trim grows, and the result matches an
+/// untrimmed solve within the gaps: the exact one for one job, and the
+/// test-side reference run on the whole grid for two densities.
+TEST(ConvexOpt, TrimGrowsWhenOptOutlastsTheGuess) {
+  obs::registry().reset_all();
+  obs::set_metrics_enabled(true);
+  const ConvexOptParams params{.slots = 200, .horizon = 10.0};
+  const double h = params.horizon / params.slots;
+  const Instance one({Job{kNoJob, 0.0, 1.0, 1.0}});
+  const Instance two({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.0, 1.0, 2.0}});
+  for (double alpha : {3.0, 8.0}) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    for (const Instance* inst : {&one, &two}) {
+      const std::int64_t grows = counter("opt.fista.grows");
+      const ConvexOptResult r = detail::solve_fractional_opt_fista(*inst, alpha, params);
+      EXPECT_GT(counter("opt.fista.grows"), grows);
+      const int first_trim =
+          static_cast<int>(std::floor(1.2 * run_algorithm_c(*inst, alpha).makespan() / h)) + 1;
+      int last_busy = 0;
+      for (int i = 0; i < params.slots; ++i) {
+        if (r.slot_speed[static_cast<std::size_t>(i)] > 0.0) last_busy = i;
+      }
+      EXPECT_GE(last_busy, first_trim);
+      const ConvexOptResult whole =
+          inst == &one ? solve_fractional_opt(*inst, alpha, params)
+                       : reference::solve(*inst, alpha,
+                                          {.slots = params.slots, .horizon = params.horizon,
+                                           .max_iters = 20000, .rel_tol = 1e-13},
+                                          /*trim=*/false);
+      const double scale = std::abs(whole.objective);
+      EXPECT_LE(whole.objective - whole.dual, 1e-12 * scale);
+      EXPECT_LE(r.objective - r.dual, params.rel_tol * std::abs(r.objective));
+      EXPECT_NEAR(r.objective, whole.objective,
+                  (r.objective - r.dual) + (whole.objective - whole.dual) + 1e-14 * scale);
+    }
+  }
+  EXPECT_EQ(counter("opt.fista.uncertified"), 0);
+  obs::registry().reset_all();
+  obs::set_metrics_enabled(false);
 }
 
 /// Late releases on a fine grid: t_i and r_j near 1e7 while t_i - r_j is a
