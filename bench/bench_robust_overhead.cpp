@@ -2,22 +2,18 @@
 //
 // The guards added by the robustness layer promise the same cost discipline
 // as the observability sites: a dormant fault-injection site is one relaxed
-// atomic load, the NaN guard in the ODE inner loop is one isfinite branch,
-// and the post-run invariant checker is a single O(samples) pass.  This
-// bench isolates each cost so regressions show up as numbers, not folklore:
+// atomic load, and the post-run invariant checker is a single O(bands)
+// pass.  This bench isolates each cost so regressions show up as numbers,
+// not folklore:
 //
 //   * the dormant fault_fire site, alone in a loop;
-//   * the numeric engine with and without an installed (never-firing) plan;
-//   * the guarded engine vs the raw engine (checker + ladder bookkeeping);
-//   * the invariant checker pass by itself.
+//   * the invariant checker pass by itself, on a generic-engine run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
 #include "src/core/power.h"
-#include "src/obs/metrics_registry.h"
 #include "src/robust/fault_injection.h"
-#include "src/robust/guarded_engine.h"
 #include "src/robust/invariants.h"
 #include "src/sim/numeric_engine.h"
 #include "src/workload/generators.h"
@@ -26,118 +22,26 @@ using namespace speedscale;
 
 namespace {
 
-Instance make_uniform(int n, std::uint64_t seed = 1) {
-  return workload::generate({.n_jobs = n, .arrival_rate = 1.5, .seed = seed});
-}
-
-NumericConfig bench_config() {
-  NumericConfig cfg;
-  cfg.substeps_per_interval = 256;  // keep iterations fast; ratio is what matters
-  return cfg;
-}
-
 // The raw cost of a dormant injection site: one relaxed load, ~1 ns/iter.
 void BM_DormantFaultSite(benchmark::State& state) {
   robust::FaultInjector::instance().clear();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(robust::fault_fire(robust::FaultSite::kOdeSubstepNaN));
+    benchmark::DoNotOptimize(robust::fault_fire(robust::FaultSite::kRootBracket));
   }
 }
 BENCHMARK(BM_DormantFaultSite);
 
-// An installed plan that never fires: every substep now takes the mutex-
-// guarded slow path.  This is the *test-only* configuration; the delta vs
-// BM_NumericEngine_NoPlan is the price tests pay, not production.
-void BM_NumericEngine_NoPlan(benchmark::State& state) {
-  const Instance inst = make_uniform(static_cast<int>(state.range(0)));
-  const PowerLaw p(2.0);
-  const NumericConfig cfg = bench_config();
-  robust::FaultInjector::instance().clear();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_generic_c(inst, p, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_NumericEngine_NoPlan)->Arg(8)->Arg(32);
-
-void BM_NumericEngine_IdlePlanInstalled(benchmark::State& state) {
-  const Instance inst = make_uniform(static_cast<int>(state.range(0)));
-  const PowerLaw p(2.0);
-  const NumericConfig cfg = bench_config();
-  // Fires at an index the run never reaches.
-  robust::ScopedFaultPlan plan(
-      robust::FaultPlan{}.fire(robust::FaultSite::kOdeSubstepNaN, {~0ULL}));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_generic_c(inst, p, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_NumericEngine_IdlePlanInstalled)->Arg(8)->Arg(32);
-
-// Guarded vs raw: the clean-path premium is one invariant-checker pass plus
-// the RunOutcome plumbing (no retries happen here).
-void BM_GuardedEngine_CleanPath(benchmark::State& state) {
-  const Instance inst = make_uniform(static_cast<int>(state.range(0)));
-  const PowerLaw p(2.0);
-  robust::GuardedNumericOptions opts;
-  opts.base = bench_config();
-  opts.alpha = 2.0;
-  robust::FaultInjector::instance().clear();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(robust::run_generic_c_guarded(inst, p, opts));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GuardedEngine_CleanPath)->Arg(8)->Arg(32);
-
-// The retry path: a NaN injected at a fixed substep rejects attempt 0, the
-// ladder doubles substeps and attempt 1 lands clean.  Pins the guarded
-// engine's attempted/committed work split — attempted counts every rung's
-// deterministic work units, committed only the accepted rung's (a rejected
-// attempt's counters never reach the main ledger).  The per-iteration
-// averages surface as gbench custom counters; run_bench_suite.py lifts
-// work_attempted / work_committed into the bench ledger, where
-// bench_compare.py hard-gates them.
-void BM_GuardedEngine_FaultRetry(benchmark::State& state) {
-  const Instance inst = make_uniform(static_cast<int>(state.range(0)));
-  const PowerLaw p(2.0);
-  robust::GuardedNumericOptions opts;
-  opts.base = bench_config();
-  opts.alpha = 2.0;
-  const bool metrics_were_enabled = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
-  obs::Counter& attempted = obs::registry().counter("robust.work.attempted_units");
-  obs::Counter& committed = obs::registry().counter("robust.work.committed_units");
-  const std::int64_t attempted0 = attempted.value();
-  const std::int64_t committed0 = committed.value();
-  for (auto _ : state) {
-    // Reinstalled per iteration: install() resets the site call counters, so
-    // the fault fires at the same substep index every time.
-    robust::ScopedFaultPlan plan(
-        robust::FaultPlan{}.fire(robust::FaultSite::kOdeSubstepNaN, {100}));
-    benchmark::DoNotOptimize(robust::run_generic_c_guarded(inst, p, opts));
-  }
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["work_attempted"] =
-      benchmark::Counter(static_cast<double>(attempted.value() - attempted0) / iters);
-  state.counters["work_committed"] =
-      benchmark::Counter(static_cast<double>(committed.value() - committed0) / iters);
-  obs::set_metrics_enabled(metrics_were_enabled);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GuardedEngine_FaultRetry)->Arg(8);
-
 // The checker pass in isolation, on a reusable run.
 void BM_InvariantChecker(benchmark::State& state) {
-  const Instance inst = make_uniform(static_cast<int>(state.range(0)));
-  const PowerLaw p(2.0);
-  const SampledRun run = run_generic_c(inst, p, bench_config());
+  const Instance inst = workload::generate(
+      {.n_jobs = static_cast<int>(state.range(0)), .arrival_rate = 1.5, .seed = 1});
+  const SampledRun run = run_generic_c(inst, PowerLaw(2.0));
   robust::InvariantOptions opts;
   opts.kind = robust::RunKind::kAlgorithmC;
   for (auto _ : state) {
     benchmark::DoNotOptimize(robust::check_sampled_run(inst, run, opts));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(run.t.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(run.bands.size()));
 }
 BENCHMARK(BM_InvariantChecker)->Arg(8)->Arg(32);
 

@@ -5,9 +5,9 @@
 // speedscale.bench_ledger/1 JSON document (src/obs/perf/bench_ledger.h):
 //
 //   * per repetition, the wall time of the workload body;
-//   * per workload, the MetricsRegistry counter snapshot it produced — ODE
-//     substeps, root-solver iterations, bracket expansions, retry-ladder
-//     rungs, preemptions, segments.  The simulators are exact, so these are
+//   * per workload, the MetricsRegistry counter snapshot it produced —
+//     quadrature intervals, root-solver iterations, bracket expansions,
+//     preemptions, segments.  The simulators are exact, so these are
 //     deterministic per seed; the runner *asserts* every repetition
 //     reproduces the first one's counters and fails loudly otherwise.
 //
@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
   // config, so committed baselines predating these keys stay comparable.
   ledger.set_config("build_type", obs::build_info().build_type);
   ledger.set_config("compiler", obs::build_info().compiler);
-  ledger.set_config("engine_substeps", std::to_string(analysis::kPinnedBenchEngineSubsteps));
   ledger.set_config("git_hash", obs::build_info().git_hash);
   ledger.set_config("mode", quick ? "quick" : "full");
   ledger.set_config("repetitions", std::to_string(reps));

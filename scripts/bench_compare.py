@@ -3,8 +3,8 @@
 
 Noise-aware policy, per docs/observability.md:
 
-* **Work counters hard-fail.**  The simulators are exact and seeded, so ODE
-  substeps, root iterations, bracket expansions, retries, and preemptions
+* **Work counters hard-fail.**  The simulators are exact and seeded, so
+  quadrature intervals, root iterations, bracket expansions, and preemptions
   are deterministic; any delta against the baseline is a real behavioral
   change — either a regression or an intentional change that must ship with
   a regenerated baseline (scripts/run_bench_suite.py --out BENCH.json).

@@ -8,11 +8,8 @@ src/obs/perf/bench_ledger.h, docs/observability.md):
    half: pinned seeds, wall time per repetition, and the MetricsRegistry
    work-counter snapshot per workload (byte-for-byte reproducible).
 2. The google-benchmark wall-time suites (E13 `bench_perf`, E19/E23
-   `bench_obs_overhead`, E20 `bench_robust_overhead`), a pinned filter each,
-   run with `--benchmark_format=json`.  Mostly wall-only (advisory in
-   `bench_compare.py`), except custom gbench counters named `work_*`
-   (e.g. BM_GuardedEngine_FaultRetry's attempted/committed split), which are
-   deterministic per iteration and lifted into the hard-gated counter half.
+   `bench_obs_overhead`), a pinned filter each, run with
+   `--benchmark_format=json`.  Wall-only (advisory in `bench_compare.py`).
 3. The 10M-job streaming run of `bench_engine_stream` (E27), which asserts
    its RSS plateau in-process (a breach is a nonzero exit, not a ledger
    diff: RSS is machine-dependent and stays out of the counter half).  Its
@@ -51,20 +48,9 @@ GBENCH_SUITES = [
     ("bench_obs_overhead",
      "^BM_AlgorithmC_ObsDisabled/1024$|^BM_AlgorithmNCUniform_ObsDisabled/1024$"
      "|^BM_AlgorithmNCUniform_MetricsOnly/1024$"),
-    ("bench_robust_overhead",
-     "^BM_GuardedEngine_CleanPath/8$|^BM_NumericEngine_NoPlan/8$|^BM_GuardedEngine_FaultRetry/8$"),
 ]
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-# gbench JSON keys that are report metadata, not user counters.
-GBENCH_META_KEYS = frozenset({
-    "name", "run_name", "run_type", "repetitions", "repetition_index", "threads",
-    "iterations", "real_time", "cpu_time", "time_unit", "family_index",
-    "per_family_instance_index", "items_per_second", "bytes_per_second",
-    "aggregate_name", "aggregate_unit", "label", "error_occurred", "error_message",
-})
-
 
 def run_ledger_tool(build_dir, binary, out_flag, args):
     """Runs a bench binary that writes a ledger to `out_flag PATH`; returns it."""
@@ -117,17 +103,6 @@ def run_gbench(build_dir, binary, bench_filter, quick, repetitions):
         )
         entry["wall_ns"].append(wall_ns)
         entry["repetitions"] += 1
-        # Custom counters named work_* are per-iteration deterministic work
-        # tallies (e.g. the guarded engine's attempted/committed units);
-        # lifting them into `counters` puts them under bench_compare.py's
-        # hard gate.  Reps must agree, like the runner's determinism check.
-        work = {k: int(round(v)) for k, v in bench.items()
-                if k.startswith("work_") and k not in GBENCH_META_KEYS}
-        if work:
-            if entry["counters"] and entry["counters"] != work:
-                sys.exit(f"error: {name}: work_* counters differ between repetitions — "
-                         f"the workload is not deterministic")
-            entry["counters"] = work
     return entries
 
 

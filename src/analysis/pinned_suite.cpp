@@ -14,7 +14,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/opt/convex_opt.h"
-#include "src/robust/guarded_engine.h"
 #include "src/sim/numeric_engine.h"
 #include "src/workload/generators.h"
 
@@ -23,16 +22,9 @@ namespace speedscale::analysis {
 namespace {
 
 constexpr double kAlpha = kPinnedBenchAlpha;
-constexpr int kEngineSubsteps = kPinnedBenchEngineSubsteps;
 
 Instance make_uniform(int n, std::uint64_t seed, double rate = 2.0) {
   return workload::generate({.n_jobs = n, .arrival_rate = rate, .seed = seed});
-}
-
-NumericConfig engine_config() {
-  NumericConfig cfg;
-  cfg.substeps_per_interval = kEngineSubsteps;
-  return cfg;
 }
 
 /// One sweep-suite workload: the full ratio-harness suite (with certificate
@@ -80,24 +72,12 @@ std::vector<PinnedBench> build_pinned_suite() {
                                                    .seed = 6});
          (void)run_algorithm_c(inst, kAlpha);
        }},
-      {"engine.numeric_c/16",
-       [] {
-         const PowerLaw p(kAlpha);
-         (void)run_generic_c(make_uniform(16, 3, 1.5), p, engine_config());
-       }},
-      {"engine.numeric_nc/12",
-       [] {
-         const PowerLaw p(kAlpha);
-         (void)run_generic_nc_uniform(make_uniform(12, 4, 1.5), p, engine_config());
-       }},
-      {"robust.guarded_nc/8",
-       [] {
-         const PowerLaw p(kAlpha);
-         robust::GuardedNumericOptions options;
-         options.base.substeps_per_interval = 256;
-         options.alpha = kAlpha;
-         (void)robust::run_generic_nc_uniform_guarded(make_uniform(8, 5, 1.5), p, options);
-       }},
+      // The generic engine at P = s^alpha: quadrature bands and root
+      // iterations (sim.generic.bands, .quad_intervals, numerics.roots.*).
+      {"engine.generic_c/16",
+       [] { (void)run_generic_c(make_uniform(16, 3, 1.5), PowerLaw(kAlpha)); }},
+      {"engine.generic_nc/12",
+       [] { (void)run_generic_nc_uniform(make_uniform(12, 4, 1.5), PowerLaw(kAlpha)); }},
       {"cert.nc_uniform/24",
        [] {
          // Certificate ledger over a captured NC run.  Single-job OPT mode:

@@ -17,9 +17,8 @@
 namespace speedscale::analysis {
 
 /// Pinned configuration shared by every suite body — exported because the
-/// ledger records them as config keys ("alpha", "engine_substeps").
+/// ledger records it as a config key ("alpha").
 inline constexpr double kPinnedBenchAlpha = 2.0;
-inline constexpr int kPinnedBenchEngineSubsteps = 512;
 
 /// One pinned, deterministic workload.
 struct PinnedBench {

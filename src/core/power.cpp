@@ -1,8 +1,7 @@
 #include "src/core/power.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "src/numerics/roots.h"
 
 namespace speedscale {
 
@@ -40,12 +39,20 @@ double LeakyPowerLaw::power(double speed) const {
 
 double LeakyPowerLaw::speed_for_power(double p) const {
   if (p <= 0.0) return 0.0;
-  // Bracket: s^alpha <= P(s), so s <= p^{1/alpha}; and leak*s <= P(s).
-  double hi = std::pow(p, 1.0 / alpha_);
-  if (leak_ > 0.0) hi = std::min(hi * 1.0 + hi, std::max(hi, p / leak_));
-  hi = std::max(hi, 1e-300);
-  while (power(hi) < p) hi *= 2.0;
-  return numerics::bisect([&](double s) { return power(s) - p; }, 0.0, hi, 1e-14);
+  // Newton from above: s^alpha <= P(s) and leak * s <= P(s) make both
+  // p^{1/alpha} and p / leak upper bounds, and on a convex increasing P
+  // Newton iterates from above decrease monotonically to the root.  Stop
+  // when they stop decreasing: the root to a few ulp, at any scale of p.
+  double s = std::pow(p, 1.0 / alpha_);
+  if (leak_ > 0.0) s = std::min(s, p / leak_);
+  for (int i = 0; i < 200; ++i) {
+    const double excess = power(s) - p;
+    if (!(excess > 0.0)) break;
+    const double next = s - excess / derivative(s);
+    if (!(next < s)) break;
+    s = next;
+  }
+  return s;
 }
 
 double LeakyPowerLaw::derivative(double speed) const {

@@ -3,7 +3,7 @@
 // The paper's headline results assume P(s) = s^alpha for alpha > 1, for which
 // every trajectory of the P = W rule has a closed form (see kinematics.h).
 // Lemmas 3 and 6, however, hold for *every* monotone convex power function
-// with P(0) = 0; the numeric engine (src/sim/numeric_engine.h) exercises that
+// with P(0) = 0; the generic engine (src/sim/numeric_engine.h) exercises that
 // generality with the non-polynomial functions below.
 #pragma once
 
@@ -49,7 +49,7 @@ class PowerLaw final : public PowerFunction {
 
 /// P(s) = s^alpha + leak * s: a power law with a linear "leakage" term, a
 /// standard model of static power.  Convex and monotone; the inverse is
-/// computed by bracketed Newton/bisection.
+/// Newton's method from an upper bound, to a few ulp relative.
 class LeakyPowerLaw final : public PowerFunction {
  public:
   LeakyPowerLaw(double alpha, double leak);

@@ -1,8 +1,8 @@
 // Scalar root finding: bisection and Brent's method.
 //
-// Used for inverting general power functions (P^{-1}), localizing events in
-// the numeric ODE engine, and solving the transcendental horizon equation of
-// the single-job offline optimum.
+// Used for cutting the generic engine's bands at releases (and inverting
+// them), and solving the transcendental horizon equation of the single-job
+// offline optimum.
 //
 // Failure contract (docs/robustness.md): all failures are typed
 // robust::RobustError diagnostics —

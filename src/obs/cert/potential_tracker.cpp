@@ -308,11 +308,13 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
   // Each qualifying release k solves the prefix instance of releases 0..k —
   // a pure function of the (already fixed) release order, so the solves can
   // run ahead of the walk, sharded across options.solver_jobs threads.
-  // Pass 2 consumes the objectives in stream order, which keeps the ledger
-  // byte-identical at any thread count.  NaN marks an unsolvable prefix
-  // (ModelError): pass 2 keeps the previous bound and does not count an
-  // update, exactly as the inline solve did.
-  std::vector<double> prefix_objective;
+  // Each solve contributes its `dual`, the grid Lagrangian dual: a lower
+  // bound on the grid optimum, where FISTA's `objective` (mixed densities)
+  // is a feasible point above it.  Pass 2 consumes the bounds in stream
+  // order, which keeps the ledger byte-identical at any thread count.  NaN
+  // marks an unsolvable prefix (ModelError): pass 2 keeps the previous
+  // bound and does not count an update, exactly as the inline solve did.
+  std::vector<double> prefix_lower_bound;
   if (options.opt_lb == OptLbMode::kPrefixConvex) {
     std::vector<Job> releases;  // qualifying releases, in stream order
     {
@@ -326,7 +328,7 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
         }
       }
     }
-    prefix_objective.assign(releases.size(), std::numeric_limits<double>::quiet_NaN());
+    prefix_lower_bound.assign(releases.size(), std::numeric_limits<double>::quiet_NaN());
     const auto solve_prefix = [&](std::size_t k) {
       try {
         TraceSuppressGuard suppress_virtual_solves;
@@ -335,8 +337,8 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
         params.max_iters = options.opt_max_iters;
         std::vector<Job> pre(releases.begin(),
                              releases.begin() + static_cast<std::ptrdiff_t>(k + 1));
-        prefix_objective[k] =
-            solve_fractional_opt(Instance(std::move(pre)), alpha, params).objective;
+        prefix_lower_bound[k] =
+            solve_fractional_opt(Instance(std::move(pre)), alpha, params).dual;
       } catch (const ModelError&) {
         // leave NaN: unsolvable prefix keeps the previous bound
       }
@@ -381,7 +383,7 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
   double alg_cum_int = 0.0;
   double opt_lb = 0.0;
   double min_combined = kInf;
-  std::size_t prefix_idx = 0;  // next entry of prefix_objective to consume
+  std::size_t prefix_idx = 0;  // next entry of prefix_lower_bound to consume
   std::map<JobId, bool> seen_release, seen_complete;
 
   for (const TraceEvent& ev : sorted) {
@@ -403,9 +405,9 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
           lb_new = opt_lb + single_job_frac_opt(js.volume, js.density, alpha).objective;
           ++ledger.opt_lb_updates;
         } else if (options.opt_lb == OptLbMode::kPrefixConvex) {
-          const double objective = prefix_objective[prefix_idx++];
-          if (!std::isnan(objective)) {
-            lb_new = std::max(opt_lb, objective);
+          const double lower = prefix_lower_bound[prefix_idx++];
+          if (!std::isnan(lower)) {
+            lb_new = std::max(opt_lb, lower);
             ++ledger.opt_lb_updates;
           }
           // NaN: unsolvable prefix, keep the previous bound (no update)

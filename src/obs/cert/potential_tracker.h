@@ -73,7 +73,7 @@ namespace speedscale::obs::cert {
 enum class OptLbMode {
   kNone,          ///< no bound (dOPT_lb = 0; slack is -committed cost)
   kSingleJob,     ///< sum of closed-form single-job optima (cheap, weak)
-  kPrefixConvex,  ///< discretized convex OPT on the released prefix (strong)
+  kPrefixConvex,  ///< grid dual of the convex OPT on the released prefix (strong)
 };
 
 /// Whether the Lemma 6/7 band-sweep defect is computed per completion.

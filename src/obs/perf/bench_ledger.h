@@ -1,10 +1,10 @@
 // Bench ledger: the canonical, versioned record of what a bench suite cost.
 //
 // The simulators are exact for P = s^alpha, so the *work* an algorithm
-// performs — ODE substeps, root-solver iterations, bracket expansions, retry
-// rungs, preemptions — is deterministic per seed.  That makes work counters
-// a noise-free regression signal where wall-clock time is ±10% machine noise
-// (EXPERIMENTS.md E19).  The ledger records both, per bench:
+// performs — quadrature intervals, root-solver iterations, bracket
+// expansions, preemptions — is deterministic per seed.  That makes work
+// counters a noise-free regression signal where wall-clock time is ±10%
+// machine noise (EXPERIMENTS.md E19).  The ledger records both, per bench:
 //
 //   * work counters — a MetricsRegistry counter snapshot taken around each
 //     repetition; byte-for-byte reproducible, hard-fail on any delta
@@ -60,7 +60,7 @@ class BenchLedger {
 
   [[nodiscard]] const std::string& suite() const { return suite_; }
 
-  /// Free-form suite configuration (mode, alpha, substeps, ...), recorded so
+  /// Free-form suite configuration (mode, alpha, ...), recorded so
   /// a ledger is self-describing; keys serialize sorted.
   void set_config(const std::string& key, std::string value);
   [[nodiscard]] const std::map<std::string, std::string>& config() const { return config_; }

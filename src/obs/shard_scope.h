@@ -11,11 +11,11 @@
 // registry's final counter values — and everything serialized from them —
 // are byte-identical for --jobs 1 and --jobs N.
 //
-// Scopes nest (a guarded retry ladder inside a sweep item opens its own
-// scope to separate attempted from committed work), and merging routes
-// through the *merging thread's* innermost scope when one is active, so an
-// inner sweep's counters surface in the enclosing shard rather than leaking
-// straight to the registry.
+// Scopes nest (a sweep item that runs a sweep of its own, as the pinned
+// suite's analysis.sweep_suite entries do, opens scopes inside its shard's
+// scope), and merging routes through the *merging thread's* innermost scope
+// when one is active, so an inner sweep's counters surface in the enclosing
+// shard rather than leaking straight to the registry.
 //
 // Thread discipline: a scope must be opened and closed on one thread.  Its
 // counters()/merge results may be read from another thread only after the

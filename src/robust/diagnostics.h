@@ -9,20 +9,17 @@
 //   * Diagnostic  — one typed failure record (code + message + context);
 //   * RobustError — the exception carrying a Diagnostic across layers that
 //                   still use stack unwinding internally;
-//   * RunOutcome  — the boundary type: a value OR a diagnosis, plus the
-//                   degradation status (ok / degraded / failed) and the
-//                   attempt count of the retry ladder that produced it.
+//   * RunStatus   — how a harness-level run ended (ok / degraded / failed).
 //
 // Contract: guards *throw* RobustError close to the failing operation;
-// harness-level wrappers catch it and convert to RunOutcome so one bad
-// algorithm/instance never aborts a whole suite or search.
+// harness-level wrappers catch it and record a RunStatus plus the
+// diagnostic, so one bad algorithm/instance never aborts a whole suite or
+// search.
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace speedscale::robust {
 
@@ -42,7 +39,7 @@ enum class ErrorCode : std::uint8_t {
 [[nodiscard]] const char* error_code_name(ErrorCode code);
 
 /// One typed failure record.  `context` carries the machine-readable locus
-/// ("line 17", "t=3.25 substep=12", ...) separately from the prose message.
+/// ("line 17", "s=0.25 power=e^s-1", ...) separately from the prose message.
 struct Diagnostic {
   ErrorCode code = ErrorCode::kNumericNonfinite;
   std::string message;
@@ -71,37 +68,13 @@ class RobustError : public std::runtime_error {
   Diagnostic diag_;
 };
 
-/// How a guarded run ended.
+/// How a harness-level run ended.
 enum class RunStatus : std::uint8_t {
-  kOk,        ///< first attempt, all invariants clean
-  kDegraded,  ///< succeeded after retry/fallback; diagnostics list the trips
-  kFailed,    ///< every attempt failed; no value
+  kOk,        ///< all invariants clean
+  kDegraded,  ///< succeeded after a fallback; the diagnostic names it
+  kFailed,    ///< failed; no value
 };
 
 [[nodiscard]] const char* run_status_name(RunStatus status);
-
-/// Boundary type of guarded execution: either a value (ok/degraded) or a
-/// diagnosis (failed), never a crash.
-template <typename T>
-struct RunOutcome {
-  RunStatus status = RunStatus::kFailed;
-  std::optional<T> value;                ///< engaged unless status == kFailed
-  std::vector<Diagnostic> diagnostics;   ///< every guard trip along the way
-  int attempts = 0;                      ///< retry-ladder rungs consumed
-
-  [[nodiscard]] bool ok() const noexcept { return status != RunStatus::kFailed; }
-  explicit operator bool() const noexcept { return ok(); }
-
-  /// The value, or a RobustError carrying the first diagnostic.
-  [[nodiscard]] T& value_or_throw() {
-    if (!value.has_value()) {
-      throw RobustError(diagnostics.empty()
-                            ? Diagnostic{ErrorCode::kInvariantBreach,
-                                         "RunOutcome: failed with no diagnostics"}
-                            : diagnostics.front());
-    }
-    return *value;
-  }
-};
 
 }  // namespace speedscale::robust

@@ -6,8 +6,6 @@ namespace speedscale::robust {
 
 const char* fault_site_name(FaultSite site) {
   switch (site) {
-    case FaultSite::kOdeSubstepNaN:
-      return "ode_substep_nan";
     case FaultSite::kRootBracket:
       return "root_bracket";
     case FaultSite::kTraceLine:

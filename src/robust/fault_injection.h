@@ -1,9 +1,9 @@
 // Deterministic fault injection for the numeric stack.
 //
-// Every guard in this library (NaN detection in the ODE engine, bracket
-// recovery in the root finders, exception capture in the thread pool, the
-// strict/lenient trace reader) is exercised by *injected* faults, so the
-// degradation paths are tested code, not dead code.  Faults are planned, not
+// Every guard in this library (bracket recovery in the root finders,
+// exception capture in the thread pool, the strict/lenient trace reader) is
+// exercised by *injected* faults, so the degradation paths are tested code,
+// not dead code.  Faults are planned, not
 // random-at-runtime: a FaultPlan names, per site, the exact call indices at
 // which the fault fires (optionally derived from a seed), so a failing test
 // reproduces bit-for-bit.
@@ -26,7 +26,6 @@ namespace speedscale::robust {
 
 /// Where a fault can be injected.  Keep in sync with fault_site_name().
 enum class FaultSite : std::uint8_t {
-  kOdeSubstepNaN,   ///< numeric engine: poison one RK4 substep with NaN
   kRootBracket,     ///< root finders: pretend the bracket has equal signs
   kTraceLine,       ///< trace writer: truncate/corrupt one CSV line
   kPoolTask,        ///< thread pool: throw from one task body

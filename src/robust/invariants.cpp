@@ -35,29 +35,21 @@ InvariantReport check_sampled_run(const Instance& instance, const SampledRun& ru
   InvariantReport report;
   OBS_COUNT("robust.invariants.checks", 1);
 
-  // --- Structural: sample arrays --------------------------------------------
-  if (run.t.size() != run.speed.size() || run.t.size() != run.weight.size()) {
-    breach(report, ErrorCode::kInvariantBreach, "sample arrays have mismatched lengths",
-           "t=" + std::to_string(run.t.size()) + " speed=" + std::to_string(run.speed.size()) +
-               " weight=" + std::to_string(run.weight.size()));
-    return report;  // indices below would be meaningless
-  }
-  for (std::size_t i = 0; i < run.t.size(); ++i) {
-    if (!std::isfinite(run.t[i]) || !std::isfinite(run.speed[i]) ||
-        !std::isfinite(run.weight[i])) {
-      breach(report, ErrorCode::kNumericNonfinite, "non-finite sample",
-             "index " + std::to_string(i) + ", t=" + std::to_string(run.t[i]));
+  // --- Structural: bands ----------------------------------------------------
+  for (std::size_t i = 0; i < run.bands.size(); ++i) {
+    const WeightBand& b = run.bands[i];
+    const bool finite = std::isfinite(b.t0) && std::isfinite(b.t1) &&
+                        std::isfinite(b.w_start) && std::isfinite(b.w_end) && std::isfinite(b.rho);
+    const char* what = !finite ? "non-finite band"
+                       : b.t1 < b.t0 || (i + 1 < run.bands.size() && run.bands[i + 1].t0 < b.t1)
+                           ? "band times decrease"
+                       : b.w_start < 0.0 || b.w_end < 0.0 || !(b.rho > 0.0)
+                           ? "negative weight or density"
+                           : nullptr;
+    if (what != nullptr) {
+      breach(report, finite ? ErrorCode::kInvariantBreach : ErrorCode::kNumericNonfinite, what,
+             "band " + std::to_string(i) + ", t0=" + std::to_string(b.t0));
       break;  // one locus suffices; downstream values are all suspect
-    }
-    if (i > 0 && run.t[i] < run.t[i - 1]) {
-      breach(report, ErrorCode::kInvariantBreach, "sample times decrease",
-             "index " + std::to_string(i));
-      break;
-    }
-    if (run.speed[i] < 0.0) {
-      breach(report, ErrorCode::kInvariantBreach, "negative speed",
-             "index " + std::to_string(i));
-      break;
     }
   }
 
@@ -84,7 +76,7 @@ InvariantReport check_sampled_run(const Instance& instance, const SampledRun& ru
     if (!std::isfinite(it->second)) {
       breach(report, ErrorCode::kNumericNonfinite, "non-finite completion time",
              "job " + std::to_string(j.id));
-    } else if (it->second < j.release - options.completion_slack) {
+    } else if (it->second < j.release) {
       breach(report, ErrorCode::kInvariantBreach, "completion precedes release",
              "job " + std::to_string(j.id));
     }
@@ -92,36 +84,22 @@ InvariantReport check_sampled_run(const Instance& instance, const SampledRun& ru
   if (!report.breaches.empty()) return report;  // identities need clean numbers
 
   // --- Identities ------------------------------------------------------------
-  if (options.kind == RunKind::kAlgorithmC) {
-    report.identity_residual =
-        std::abs(run.energy - run.fractional_flow) / std::max(1.0, run.energy);
-    if (report.identity_residual > options.identity_tol) {
-      breach(report, ErrorCode::kInvariantBreach,
-             "Algorithm C energy != fractional flow",
-             "residual " + std::to_string(report.identity_residual));
+  const auto identity = [&](const char* what, double lhs, double rhs) {
+    const double residual = std::abs(lhs - rhs) / std::max(1.0, std::abs(rhs));
+    if (residual > options.identity_tol) {
+      breach(report, ErrorCode::kInvariantBreach, what,
+             "residual " + std::to_string(residual));
     }
+  };
+  if (options.kind == RunKind::kAlgorithmC) {
+    identity("Algorithm C energy != fractional flow", run.fractional_flow, run.energy);
   }
   if (options.kind == RunKind::kAlgorithmNC && options.reference_c != nullptr) {
-    const double e_ref = options.reference_c->energy;
-    report.lemma3_residual = std::abs(run.energy - e_ref) / std::max(1.0, e_ref);
-    if (report.lemma3_residual > options.identity_tol) {
-      breach(report, ErrorCode::kInvariantBreach, "Lemma 3 energy equality violated",
-             "residual " + std::to_string(report.lemma3_residual));
-    }
+    identity("Lemma 3 energy equality violated", run.energy, options.reference_c->energy);
   }
   if (options.kind == RunKind::kAlgorithmNC && options.alpha.has_value()) {
-    const double expected = run.energy / (1.0 - 1.0 / *options.alpha);
-    report.lemma4_residual =
-        std::abs(run.fractional_flow - expected) / std::max(1.0, run.fractional_flow);
-    // Energy converges at the completion epsilon itself but the flow tail is
-    // cut at Theta(eps^{1-1/alpha}), so the identity carries that bias no
-    // matter how many substeps the retry ladder adds.
-    const double truncation =
-        20.0 * std::pow(options.completion_rel_eps, 1.0 - 1.0 / *options.alpha);
-    if (report.lemma4_residual > options.identity_tol + truncation) {
-      breach(report, ErrorCode::kInvariantBreach, "Lemma 4 flow ratio violated",
-             "residual " + std::to_string(report.lemma4_residual));
-    }
+    identity("Lemma 4 flow ratio violated", run.fractional_flow,
+             run.energy / (1.0 - 1.0 / *options.alpha));
   }
   return report;
 }

@@ -2,8 +2,9 @@
 // boundary, not three layers downstream.
 //
 // Structural checks (every run, every power function):
-//   * sample times non-decreasing and finite; speeds finite and >= 0;
-//     driving weights finite;
+//   * band times and weights finite, weights >= 0, densities > 0, and each
+//     band ending no earlier than it starts and no later than the next
+//     one starts;
 //   * objectives (energy, fractional/integral flow) finite and >= 0;
 //   * every job completed at or after its release.
 //
@@ -15,8 +16,9 @@
 //   * Lemma 4 (P = s^alpha only): fractional flow == energy / (1 - 1/alpha).
 //
 // A tripped check is a Diagnostic (ErrorCode::kInvariantBreach or
-// kNumericNonfinite), never an abort: the guarded engine reacts by
-// re-integrating with more substeps (see guarded_engine.h).
+// kNumericNonfinite), never an abort.  The generic engine runs it once per
+// run and throws the first breach; nothing is retried, since its
+// quadrature meets its tolerance or throws.
 #pragma once
 
 #include <optional>
@@ -32,41 +34,31 @@ namespace speedscale::robust {
 enum class RunKind : std::uint8_t {
   kAlgorithmC,   ///< P = W rule: energy == fractional flow
   kAlgorithmNC,  ///< P = U rule: Lemma 3 vs reference, Lemma 4 if alpha given
-  kGeneric,      ///< structural checks only
 };
 
 struct InvariantOptions {
-  RunKind kind = RunKind::kGeneric;
-  /// Relative tolerance of the identity residuals.  The numeric engine's
-  /// fixed-substep RK4 leaves O(h^4) residuals well under this at the
-  /// default substep count; a NaN or a skipped event blows far past it.
-  double identity_tol = 1e-5;
+  RunKind kind = RunKind::kAlgorithmC;
+  /// Relative tolerance of the identity residuals.  The generic engine's
+  /// quadrature leaves ~1e-15 residuals at P = s^alpha, and its completion
+  /// and bootstrap epsilons (P'(0) > 0 only) ~1e-10; a NaN or a skipped
+  /// event blows far past it.
+  double identity_tol = 1e-6;
   /// Set when the power function is P(s) = s^alpha: enables Lemma 4.
   std::optional<double> alpha;
-  /// Completion epsilon of the run's NumericConfig.  Declaring a job done at
-  /// relative residual volume eps truncates its fractional-flow tail by
-  /// Theta(eps^{1-1/alpha}) — an error that does *not* shrink with substeps —
-  /// so Lemma 4's tolerance widens by that term.
-  double completion_rel_eps = 1e-9;
   /// Algorithm C run on the same instance: enables the Lemma 3 check.
   const SampledRun* reference_c = nullptr;
-  /// Completion may precede release by at most this absolute slack.
-  double completion_slack = 1e-9;
 };
 
-/// Everything the checker measured, plus the breach list (empty == clean).
+/// The breach list (empty == clean).
 struct InvariantReport {
   std::vector<Diagnostic> breaches;
-  double lemma3_residual = 0.0;     ///< |E_run - E_ref| / max(1, E_ref)
-  double lemma4_residual = 0.0;     ///< |F - E/(1-1/alpha)| / max(1, F)
-  double identity_residual = 0.0;   ///< C only: |E - F| / max(1, E)
 
   [[nodiscard]] bool ok() const { return breaches.empty(); }
   /// One line per breach, for error messages and logs.
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Runs every applicable check on a numerically-integrated run.  Guard trips
+/// Runs every applicable check on a generic-engine run.  Guard trips
 /// are counted under "robust.invariants.*" when metrics are enabled.
 [[nodiscard]] InvariantReport check_sampled_run(const Instance& instance, const SampledRun& run,
                                                 const InvariantOptions& options = {});

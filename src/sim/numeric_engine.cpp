@@ -2,281 +2,285 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "src/engine/online_metrics.h"
-#include "src/numerics/ode.h"
+#include "src/numerics/roots.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/robust/diagnostics.h"
-#include "src/robust/fault_injection.h"
+#include "src/robust/invariants.h"
 
 namespace speedscale {
 
 namespace {
 
-/// Outcome of integrating the driving weight over one inter-event interval.
-struct IntervalOutcome {
-  double t_end = 0.0;     ///< where integration stopped
-  double y_end = 0.0;     ///< driving weight there
-  double int_y = 0.0;     ///< int Y dt over [t_start, t_end]
-  bool crossed = false;   ///< true if the completion target was hit
+using robust::ErrorCode;
+using robust::RobustError;
+
+// 15-point Kronrod nodes on [-1, 1] (the odd-indexed ones are the 7-point
+// Gauss nodes) and their weights (QUADPACK qk15).
+constexpr double kXgk[8] = {0.99145537112081263921, 0.94910791234275852453,
+                            0.86486442335976907279, 0.74153118559939443986,
+                            0.58608723546769113029, 0.40584515137739716691,
+                            0.20778495500789846760, 0.0};
+constexpr double kWgk[8] = {0.02293532201052922496, 0.06309209262997855329,
+                            0.10479001032225018384, 0.14065325971552591875,
+                            0.16900472663926790283, 0.19035057806478540991,
+                            0.20443294007529889241, 0.20948214108472782801};
+constexpr double kWg[4] = {0.12948496616886969327, 0.27970539148927666790,
+                           0.38183005050511894495, 0.41795918367346938776};
+
+constexpr double kPieceRelTol = 1e-14;  ///< per-piece relative error target
+constexpr int kMaxGkPerBand = 4096;     ///< evaluation budget: 15 points each
+constexpr double kRatioAgree = 1e-14;   ///< successive tail ratios "agree"
+constexpr double kStopShrinking = 1e-6; ///< ratio within this of 1: diverges
+
+/// (T, E) integrands or integrals side by side.
+struct Pair {
+  double t = 0.0;
+  double e = 0.0;
 };
 
-/// Integrates dY/dt = sign * rho * P^{-1}(Y) from (t0, y0) to at most t1,
-/// stopping early when Y crosses `target` (from above if sign < 0, from
-/// below if sign > 0).  Fixed-substep RK4 + per-substep bisection for the
-/// crossing; accumulates int Y dt by trapezoid and appends samples.
-IntervalOutcome integrate_interval(const PowerFunction& power, double rho, double sign,
-                                   double t0, double y0, double t1, double target,
-                                   int substeps, SampledRun* run) {
-  OBS_COUNT("numerics.engine.intervals", 1);
-  IntervalOutcome out;
-  if (run) {
-    // Reserve the whole interval's worth of samples up front (1 entry sample
-    // + at most one per substep), growing geometrically, so the substep loop
-    // below never reallocates mid-evolve.
-    const std::size_t need = run->t.size() + static_cast<std::size_t>(substeps) + 2;
-    if (run->t.capacity() < need) {
-      const std::size_t cap = std::max({need, run->t.capacity() * 2, std::size_t{1024}});
-      run->t.reserve(cap);
-      run->speed.reserve(cap);
-      run->weight.reserve(cap);
-      ++run->sample_reallocs;
-    }
-  }
-  const auto rhs = [&](double /*t*/, double y) {
-    return sign * rho * power.speed_for_power(std::max(y, 0.0));
-  };
-  const auto crossed = [&](double y) {
-    return sign < 0.0 ? y <= target + 1e-300 : y >= target - 1e-300;
-  };
+struct Quadrature {
+  const PowerFunction& power;
+  int gk_calls = 0;
 
-  double t = t0, y = y0;
-  const double h = (t1 - t0) / static_cast<double>(substeps);
-  if (run) {
-    run->t.push_back(t);
-    run->speed.push_back(power.speed_for_power(std::max(y, 0.0)));
-    run->weight.push_back(y);
+  /// The integrands at speed s: P(s)/s^2 and P(s)^2/(2 s^2).
+  Pair integrand(double s) const {
+    const double p = power.power(s), q = p / s / s;
+    const Pair f{q, 0.5 * p * q};
+    if (!std::isfinite(f.t) || !std::isfinite(f.e)) {
+      throw RobustError(ErrorCode::kNumericNonfinite, "band_integrals: non-finite integrand",
+                        "s=" + std::to_string(s) + " power=" + power.name());
+    }
+    return f;
   }
-  for (int i = 0; i < substeps; ++i) {
-    const double t_next = (i + 1 == substeps) ? t1 : t0 + h * (i + 1);
-    double y_next = numerics::rk4_step(rhs, t, y, t_next - t);
-    if (robust::fault_fire(robust::FaultSite::kOdeSubstepNaN)) {
-      y_next = std::numeric_limits<double>::quiet_NaN();
+
+  /// One G7/K15 rule on [a, b]: the Kronrod values, and QUADPACK's error
+  /// estimate from the Gauss-Kronrod difference (without its rounding
+  /// floor, which adapt() adds to what it reports).
+  std::pair<Pair, Pair> gk15(double a, double b) {
+    if (++gk_calls > kMaxGkPerBand) {
+      throw RobustError(ErrorCode::kNoConvergence,
+                        "band_integrals: evaluation budget exhausted", power.name());
     }
-    // Boundary guard: a poisoned substep is a typed diagnostic here, not a
-    // NaN that propagates into objectives three layers downstream.
-    if (!std::isfinite(y_next)) {
-      OBS_COUNT("sim.numeric_engine.nonfinite_substeps", 1);
-      throw robust::RobustError(
-          robust::ErrorCode::kNumericNonfinite, "integrate_interval: non-finite substep",
-          "t=" + std::to_string(t) + " substep=" + std::to_string(i));
+    const double c = 0.5 * (a + b), h = 0.5 * (b - a);
+    Pair f[15];
+    f[7] = integrand(c);
+    for (int k = 0; k < 7; ++k) {
+      f[k] = integrand(c - h * kXgk[k]);
+      f[14 - k] = integrand(c + h * kXgk[k]);
     }
-    if (crossed(y_next)) {
-      OBS_COUNT("sim.numeric_engine.ode_substeps", i + 1);
-      OBS_COUNT("sim.numeric_engine.crossings", 1);
-      // Localize the crossing within [t, t_next] by bisection on the
-      // sub-step length (RK4 from the sub-step start each probe).
-      double lo = 0.0, hi = t_next - t;
-      int bisect_iters = 0;
-      for (int it = 0; it < 60; ++it) {
-        ++bisect_iters;
-        const double mid = 0.5 * (lo + hi);
-        if (crossed(numerics::rk4_step(rhs, t, y, mid))) {
-          hi = mid;
-        } else {
-          lo = mid;
-        }
-        if (hi - lo < 1e-15 * std::max(1.0, t)) break;
+    const auto rule = [&](double Pair::*m) {
+      double kron = kWgk[7] * f[7].*m, gauss = kWg[3] * f[7].*m;
+      for (int k = 0; k < 7; ++k) {
+        kron += kWgk[k] * (f[k].*m + f[14 - k].*m);
+        if (k % 2 == 1) gauss += kWg[k / 2] * (f[k].*m + f[14 - k].*m);
       }
-      OBS_COUNT("sim.numeric_engine.crossing_bisect_iters", bisect_iters);
-      const double t_hit = t + hi;
-      out.int_y += 0.5 * (y + target) * (t_hit - t);
-      out.t_end = t_hit;
-      out.y_end = target;
-      out.crossed = true;
-      if (run) {
-        run->t.push_back(t_hit);
-        run->speed.push_back(power.speed_for_power(std::max(target, 0.0)));
-        run->weight.push_back(target);
+      const double mean = 0.5 * kron;
+      double asc = kWgk[7] * std::abs(f[7].*m - mean);
+      for (int k = 0; k < 7; ++k) {
+        asc += kWgk[k] * (std::abs(f[k].*m - mean) + std::abs(f[14 - k].*m - mean));
       }
-      return out;
-    }
-    out.int_y += 0.5 * (y + y_next) * (t_next - t);
-    t = t_next;
-    y = y_next;
-    if (run) {
-      run->t.push_back(t);
-      run->speed.push_back(power.speed_for_power(std::max(y, 0.0)));
-      run->weight.push_back(y);
-    }
+      const double diff = std::abs(kron - gauss) * h;
+      asc *= h;
+      const double err = asc > 0.0 ? asc * std::min(1.0, std::pow(200.0 * diff / asc, 1.5)) : 0.0;
+      return std::pair<double, double>{kron * h, err};
+    };
+    const auto [kt, et] = rule(&Pair::t);
+    const auto [ke, ee] = rule(&Pair::e);
+    return {{kt, ke}, {et, ee}};
   }
-  OBS_COUNT("sim.numeric_engine.ode_substeps", substeps);
-  out.t_end = t1;
-  out.y_end = y;
-  return out;
+
+  /// Adaptive bisection of [a, b] until each leaf meets kPieceRelTol; adds
+  /// the integrals to `sum` and their error estimates, with QUADPACK's
+  /// 50 eps rounding floor, to `err`.
+  void adapt(double a, double b, Pair& sum, Pair& err) {
+    const auto [v, e] = gk15(a, b);
+    const double m = 0.5 * (a + b);
+    if ((e.t <= kPieceRelTol * v.t && e.e <= kPieceRelTol * v.e) || !(a < m && m < b)) {
+      constexpr double kRounding = 50.0 * std::numeric_limits<double>::epsilon();
+      sum.t += v.t;
+      sum.e += v.e;
+      err.t += std::max(e.t, kRounding * std::abs(v.t));
+      err.e += std::max(e.e, kRounding * std::abs(v.e));
+      return;
+    }
+    adapt(m, b, sum, err);
+    adapt(a, m, sum, err);
+  }
+};
+
+/// True when a band can reach weight 0 in finite time (P'(0) = 0).
+bool reaches_zero(const PowerFunction& power) { return !(power.derivative(0.0) > 0.0); }
+
+/// Copies the accumulated objectives into `run` and runs the post-run
+/// checks once.  Nothing is retried: the quadrature meets its tolerance or
+/// throws, so a breach is an error.
+void finish(SampledRun& run, const engine::OnlineMetrics& om, const Instance& instance,
+            const robust::InvariantOptions& check) {
+  run.energy = om.energy();
+  run.fractional_flow = om.fractional_flow();
+  run.integral_flow = om.integral_flow();
+  const robust::InvariantReport report = robust::check_sampled_run(instance, run, check);
+  if (!report.ok()) throw RobustError(report.breaches.front());
 }
-
-struct JobProgress {
-  double remaining = 0.0;
-  bool released = false;
-  bool done = false;
-};
 
 }  // namespace
 
-double SampledRun::weight_left(double x) const {
-  if (t.empty()) return 0.0;
-  auto it = std::lower_bound(t.begin(), t.end(), x);
-  if (it == t.end()) return weight.back();
-  const std::size_t i = static_cast<std::size_t>(it - t.begin());
-  if (t[i] == x || i == 0) return weight[i];
-  const double f = (x - t[i - 1]) / (t[i] - t[i - 1]);
-  return weight[i - 1] + f * (weight[i] - weight[i - 1]);
+BandIntegrals band_integrals(const PowerFunction& power, double lo, double hi) {
+  if (!(hi > lo)) return {};
+  Quadrature q{power};
+  const double s_lo = lo > 0.0 ? power.speed_for_power(lo) : 0.0;
+  const double s_hi = power.speed_for_power(hi);
+  Pair sum, err, prev{kInf, kInf}, ratio{kInf, kInf};
+  int pieces = 0;
+  for (double a = s_hi; a > s_lo;) {
+    const double b = std::max(0.5 * a, s_lo);
+    Pair p;
+    q.adapt(b, a, p, err);
+    sum.t += p.t;
+    sum.e += p.e;
+    a = b;
+    if (s_lo > 0.0) continue;
+    // lo = 0: once two successive piece ratios agree, the rest is the
+    // geometric series below this piece (exact for a power law near 0).
+    const Pair r{p.t / prev.t, p.e / prev.e};
+    if (r.t >= 1.0 - kStopShrinking || r.e >= 1.0 - kStopShrinking) {
+      throw RobustError(ErrorCode::kNoConvergence,
+                        "band_integrals: tail pieces stop shrinking (P'(0) > 0?)", power.name());
+    }
+    if (std::abs(r.t - ratio.t) <= kRatioAgree && std::abs(r.e - ratio.e) <= kRatioAgree) {
+      sum.t += p.t * r.t / (1.0 - r.t);
+      sum.e += p.e * r.e / (1.0 - r.e);
+      err.t += p.t * std::abs(r.t - ratio.t) / ((1.0 - r.t) * (1.0 - r.t));
+      err.e += p.e * std::abs(r.e - ratio.e) / ((1.0 - r.e) * (1.0 - r.e));
+      break;
+    }
+    prev = p;
+    ratio = r;
+    if (!(a > 0.0) || ++pieces > 2200) {
+      throw RobustError(ErrorCode::kNoConvergence, "band_integrals: tail did not converge",
+                        power.name());
+    }
+  }
+  // The integrated-out boundary terms [w / s] and [w^2 / (2 s)]; at lo = 0
+  // they vanish (P(s)/s -> P'(0) = 0 wherever the tail converged).
+  sum.t += hi / s_hi - (lo > 0.0 ? lo / s_lo : 0.0);
+  sum.e += 0.5 * (hi * (hi / s_hi) - (lo > 0.0 ? lo * (lo / s_lo) : 0.0));
+  OBS_COUNT("sim.generic.bands", 1);
+  OBS_COUNT("sim.generic.quad_intervals", q.gk_calls);
+  return {sum.t, sum.e, err.t, err.e};
 }
 
-double SampledRun::time_at_or_above(double x) const {
+double SampledRun::weight_left(const PowerFunction& power, double x) const {
+  // The last band starting before x; x beyond its end is an idle gap.
+  const auto it = std::partition_point(bands.begin(), bands.end(),
+                                       [x](const WeightBand& b) { return b.t0 < x; });
+  if (it == bands.begin()) return 0.0;
+  const WeightBand& b = *(it - 1);
+  if (b.t1 < x) return 0.0;
+  if (b.t1 == x) return b.w_end;
+  // Invert the band: the weight w whose sweep from w_start takes x - t0.
+  const double target = b.rho * (x - b.t0);
+  const double lo = std::min(b.w_start, b.w_end), hi = std::max(b.w_start, b.w_end);
+  const bool decay = b.w_end < b.w_start;
+  return numerics::brent(
+      [&](double w) {
+        const double swept = decay ? band_integrals(power, w, hi).time
+                                   : band_integrals(power, lo, w).time;
+        return decay ? target - swept : swept - target;
+      },
+      lo, hi, 1e-15 * std::min(1.0, hi));
+}
+
+double SampledRun::time_at_or_above(const PowerFunction& power, double x) const {
+  if (!(x > 0.0)) return bands.empty() ? 0.0 : bands.back().t1;
+  const double level = power.power(x);
   double total = 0.0;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    const double dt = t[i + 1] - t[i];
-    if (dt <= 0.0) continue;
-    const double s0 = speed[i], s1 = speed[i + 1];
-    if (s0 >= x && s1 >= x) {
-      total += dt;
-    } else if (s0 >= x || s1 >= x) {
-      const double hi = std::max(s0, s1), lo = std::min(s0, s1);
-      total += dt * (hi - x) / std::max(hi - lo, 1e-300);
+  for (const WeightBand& b : bands) {
+    const double lo = std::min(b.w_start, b.w_end), hi = std::max(b.w_start, b.w_end);
+    if (level <= lo) {
+      total += b.t1 - b.t0;
+    } else if (level < hi) {
+      total += band_integrals(power, level, hi).time / b.rho;
     }
   }
   return total;
 }
 
-SampledRun run_generic_c(const Instance& instance, const PowerFunction& power,
-                         const NumericConfig& cfg) {
+SampledRun run_generic_c(const Instance& instance, const PowerFunction& power) {
   SampledRun run;
-  // Compensated accumulation: objective integrals are sums of millions of
-  // tiny trapezoid pieces at high substep counts — plain += loses digits.
   engine::OnlineMetrics om;
-  std::vector<JobProgress> prog(instance.size());
-  for (const Job& j : instance.jobs()) {
-    prog[static_cast<std::size_t>(j.id)].remaining = j.volume;
-  }
-  // Pending releases sorted by time; active ordered HDF then FIFO.
-  std::set<std::pair<double, JobId>> pending;
-  for (const Job& j : instance.jobs()) pending.insert({j.release, j.id});
-  struct ActiveLess {
-    const Instance* inst;
-    bool operator()(JobId a, JobId b) const {
-      const Job& ja = inst->job(a);
-      const Job& jb = inst->job(b);
-      if (ja.density != jb.density) return ja.density > jb.density;
-      if (ja.release != jb.release) return ja.release < jb.release;
-      return a < b;
-    }
-  };
-  std::set<JobId, ActiveLess> active(ActiveLess{&instance});
+  const bool exact_zero = reaches_zero(power);
+  std::vector<double> remaining(instance.size());
+  for (const Job& j : instance.jobs()) remaining[static_cast<std::size_t>(j.id)] = j.volume;
+  const std::vector<JobId> fifo = instance.fifo_order();
+  std::size_t next = 0;  // next release in fifo
+  // Active jobs in HDF order, FIFO among equal densities: (-density, release, id).
+  std::set<std::tuple<double, double, JobId>> active;
 
   double t = 0.0;
-  double W = 0.0;
-
-  // Sentinel pre-release sample so weight_left(0) is the left limit (0), not
-  // the post-release jump.
-  run.t.push_back(0.0);
-  run.speed.push_back(0.0);
-  run.weight.push_back(0.0);
-
-  const auto release_due = [&]() {
-    while (!pending.empty() && pending.begin()->first <= t) {
-      const JobId id = pending.begin()->second;
-      pending.erase(pending.begin());
-      prog[static_cast<std::size_t>(id)].released = true;
-      W += instance.job(id).weight();
-      active.insert(id);
-      const Job& j = instance.job(id);
-      TRACE_EVENT(.kind = obs::EventKind::kJobRelease, .t = j.release, .job = id,
+  while (!active.empty() || next < fifo.size()) {
+    if (active.empty()) t = std::max(t, instance.job(fifo[next]).release);  // idle gap
+    for (; next < fifo.size() && instance.job(fifo[next]).release <= t; ++next) {
+      const Job& j = instance.job(fifo[next]);
+      active.insert({-j.density, j.release, j.id});
+      TRACE_EVENT(.kind = obs::EventKind::kJobRelease, .t = j.release, .job = j.id,
                   .value = j.volume, .aux = j.density, .label = "numeric_c");
     }
-  };
-  release_due();
-
-  while (!active.empty() || !pending.empty()) {
-    const double next_release = pending.empty() ? kInf : pending.begin()->first;
-    if (active.empty()) {
-      // Idle until the next release; flow does not accrue (nothing active).
-      run.t.push_back(t);
-      run.speed.push_back(0.0);
-      run.weight.push_back(0.0);
-      t = next_release;
-      run.t.push_back(t);
-      run.speed.push_back(0.0);
-      run.weight.push_back(0.0);
-      release_due();
-      continue;
+    const double next_release = next < fifo.size() ? instance.job(fifo[next]).release : kInf;
+    const Job& job = instance.job(std::get<2>(*active.begin()));
+    double& rem = remaining[static_cast<std::size_t>(job.id)];
+    // The waiting jobs' weight is the band's floor; the current job sweeps
+    // the band above it, down to the floor or to a cut at the next release.
+    double w_rest = 0.0;
+    for (auto it = std::next(active.begin()); it != active.end(); ++it) {
+      w_rest += -std::get<0>(*it) * remaining[static_cast<std::size_t>(std::get<2>(*it))];
     }
-    const JobId cur = *active.begin();
-    const Job& job = instance.job(cur);
-    JobProgress& pc = prog[static_cast<std::size_t>(cur)];
-    const double eps_vol = cfg.completion_rel_eps * job.volume;
-    const double target = W - job.density * std::max(pc.remaining - eps_vol, 0.0);
-
-    // Horizon: the next release if one exists, else a guess from the current
-    // speed (an underestimate of the true completion time, since the speed
-    // only decreases).  If the guess proves short the outer loop simply
-    // re-enters with the same current job and a fresh, larger estimate —
-    // every pass makes strictly positive progress toward `target`.
-    double horizon = next_release;
-    if (horizon == kInf) {
-      const double s_now = power.speed_for_power(std::max(W, 1e-300));
-      horizon = t + 4.0 * std::max(pc.remaining / std::max(s_now, 1e-300), 1e-12);
+    const double w = w_rest + job.density * rem;
+    const double floor =
+        (w_rest > 0.0 || exact_zero) ? w_rest : job.density * kCompletionRelEps * job.volume;
+    BandIntegrals band = band_integrals(power, floor, w);
+    double w_end = floor, t_end = t + band.time / job.density;
+    const bool completes = t_end <= next_release;
+    if (!completes) {
+      // The weight whose sweep from w lasts exactly until the release.
+      t_end = next_release;
+      const double swept = job.density * (t_end - t);
+      w_end = numerics::brent([&](double v) { return band_integrals(power, v, w).time - swept; },
+                              floor, w, 1e-15 * std::min(1.0, w));
+      band = band_integrals(power, w_end, w);
     }
-    const IntervalOutcome oc = integrate_interval(power, job.density, -1.0, t, W, horizon,
-                                                  target, cfg.substeps_per_interval, &run);
-
-    const double dt = oc.t_end - t;
-    const double dV = (W - oc.y_end) / job.density;
-    // Energy: P(s) = W along the run.
-    om.add_energy(oc.int_y);
-    // Fractional flow: every active job accrues rho * V; the current job's
-    // V decreases inside the interval.
-    for (JobId id : active) {
-      const Job& ja = instance.job(id);
-      const double v = prog[static_cast<std::size_t>(id)].remaining;
-      if (id == cur) {
-        const double int_processed = (W * dt - oc.int_y) / job.density;
-        om.add_fractional_flow(ja.density * (v * dt - int_processed));
-      } else {
-        om.add_fractional_flow(ja.density * v * dt);
-      }
-    }
-    t = oc.t_end;
-    W = oc.y_end;
-    pc.remaining = std::max(0.0, pc.remaining - dV);
-
-    if (oc.crossed) {
-      // Residual epsilon-volume is declared complete; drop its weight.
-      W = std::max(0.0, W - job.density * pc.remaining);
-      pc.remaining = 0.0;
-      pc.done = true;
+    const double dt = t_end - t, energy = band.energy / job.density;
+    // Fractional flow: the waiting jobs accrue their weight, the current
+    // job the part of the swept weight above them.
+    om.add_energy(energy);
+    om.add_fractional_flow(w_rest * dt);
+    om.add_fractional_flow(energy - w_rest * dt);
+    run.energy_error += band.energy_error / job.density;
+    run.bands.push_back({t, t_end, w, w_end, job.density});
+    t = t_end;
+    if (completes) {
+      rem = 0.0;  // the residual epsilon-volume, if any, is declared complete
       active.erase(active.begin());
-      run.completions[cur] = t;
+      run.completions[job.id] = t;
       om.add_integral_flow(job.weight() * (t - job.release));
-      TRACE_EVENT(.kind = obs::EventKind::kJobComplete, .t = t, .job = cur,
+      TRACE_EVENT(.kind = obs::EventKind::kJobComplete, .t = t, .job = job.id,
                   .value = om.energy(), .aux = om.fractional_flow(), .label = "numeric_c");
+    } else {
+      rem = (w_end - w_rest) / job.density;
     }
-    release_due();
   }
-  run.energy = om.energy();
-  run.fractional_flow = om.fractional_flow();
-  run.integral_flow = om.integral_flow();
+  finish(run, om, instance, {});  // the Algorithm C identity
   return run;
 }
 
-SampledRun run_generic_nc_uniform(const Instance& instance, const PowerFunction& power,
-                                  const NumericConfig& cfg) {
+SampledRun run_generic_nc_uniform(const Instance& instance, const PowerFunction& power) {
   if (!instance.uniform_density(1e-9)) {
     throw ModelError("run_generic_nc_uniform: instance must have uniform density");
   }
@@ -284,22 +288,14 @@ SampledRun run_generic_nc_uniform(const Instance& instance, const PowerFunction&
   // It is a virtual run — its events stay out of the NC trace.
   const SampledRun c_run = [&] {
     obs::TraceSuppressGuard suppress_virtual_run;
-    return run_generic_c(instance, power, cfg);
+    return run_generic_c(instance, power);
   }();
 
   SampledRun run;
   engine::OnlineMetrics om;
-  std::vector<JobProgress> prog(instance.size());
-  for (const Job& j : instance.jobs()) {
-    prog[static_cast<std::size_t>(j.id)].remaining = j.volume;
-  }
   const std::vector<JobId> fifo = instance.fifo_order();
-  const double bootstrap = cfg.bootstrap_rel_eps * std::max(instance.total_weight(), 1e-300);
-
-  // Release bookkeeping for fractional-flow accrual of waiting jobs.
-  std::vector<double> releases;
-  for (const Job& j : instance.jobs()) releases.push_back(j.release);
-  std::sort(releases.begin(), releases.end());
+  const double bootstrap =
+      reaches_zero(power) ? 0.0 : kBootstrapRelEps * std::max(instance.total_weight(), 1e-300);
 
   // Release events interleave into the trace in time order.
   std::size_t next_rel_idx = 0;
@@ -313,63 +309,30 @@ SampledRun run_generic_nc_uniform(const Instance& instance, const PowerFunction&
   };
 
   double t = 0.0;
+  double cohort_release = -kInf, cohort_weight = 0.0;
   for (JobId jid : fifo) {
     const Job& job = instance.job(jid);
-    JobProgress& pj = prog[static_cast<std::size_t>(jid)];
-
-    if (t < job.release) {
-      run.t.push_back(t);
-      run.speed.push_back(0.0);
-      run.weight.push_back(0.0);
-      t = job.release;
-      run.t.push_back(t);
-      run.speed.push_back(0.0);
-      run.weight.push_back(0.0);
+    // U starts at W^C(r_j^-) plus the weight of the jobs released with j
+    // and ahead of it in FIFO order (C receives them at the same instant).
+    if (job.release != cohort_release) {
+      cohort_release = job.release;
+      cohort_weight = 0.0;
     }
-
-    emit_releases_up_to(std::max(t, job.release));
-    const double offset = c_run.weight_left(job.release);
-    double U = std::max(offset, bootstrap);
-    const double U_target = U + job.density * pj.remaining;
-
-    while (pj.remaining > 0.0) {
-      // Cut at release epochs so waiting jobs' flow accrues piecewise.
-      auto next_rel = std::upper_bound(releases.begin(), releases.end(), t);
-      double horizon = (next_rel == releases.end()) ? kInf : *next_rel;
-      if (horizon == kInf) {
-        // Speed only grows, so vrem/s_now over-estimates the completion time
-        // and vrem/s_target under-estimates it.  Starting from a tiny
-        // bootstrap weight the over-estimate explodes; cap the pass length by
-        // a multiple of the under-estimate and let the outer loop re-enter.
-        const double s_now = power.speed_for_power(std::max(U, bootstrap));
-        const double s_target = power.speed_for_power(U_target);
-        const double over = pj.remaining / std::max(s_now, 1e-300);
-        const double under = pj.remaining / std::max(s_target, 1e-300);
-        horizon = t + std::max(std::min(over, 64.0 * under), 1e-12);
-      }
-      const IntervalOutcome oc = integrate_interval(power, job.density, +1.0, t, U, horizon,
-                                                    U_target, cfg.substeps_per_interval, &run);
-      const double dt = oc.t_end - t;
-      const double dV = (oc.y_end - U) / job.density;
-      om.add_energy(oc.int_y);  // P(s) = U along the run
-      // Current job's fractional flow.
-      const double int_processed = (oc.int_y - U * dt) / job.density;
-      om.add_fractional_flow(job.density * (pj.remaining * dt - int_processed));
-      // Waiting (released, unfinished, not current) jobs accrue fully.
-      for (const Job& other : instance.jobs()) {
-        if (other.id == jid) continue;
-        const JobProgress& po = prog[static_cast<std::size_t>(other.id)];
-        if (!po.done && other.release <= t + 1e-15) {
-          om.add_fractional_flow(other.density * po.remaining * dt);
-        }
-      }
-      t = oc.t_end;
-      U = oc.y_end;
-      pj.remaining = std::max(0.0, pj.remaining - dV);
-      if (oc.crossed) pj.remaining = 0.0;
-      if (pj.remaining <= 0.0) break;
-    }
-    pj.done = true;
+    const double u0 = std::max(c_run.weight_left(power, job.release) + cohort_weight, bootstrap);
+    cohort_weight += job.weight();
+    const double u1 = u0 + job.weight();
+    const double start = std::max(t, job.release);
+    emit_releases_up_to(start);
+    const BandIntegrals band = band_integrals(power, u0, u1);
+    const double dt = band.time / job.density, energy = band.energy / job.density;
+    // Waiting from release to start at full weight, then the current job's
+    // unprocessed part int (u1 - U) dt.
+    om.add_energy(energy);
+    om.add_fractional_flow(job.weight() * (start - job.release));
+    om.add_fractional_flow(u1 * dt - energy);
+    run.energy_error += band.energy_error / job.density;
+    t = start + dt;
+    run.bands.push_back({start, t, u0, u1, job.density});
     run.completions[jid] = t;
     om.add_integral_flow(job.weight() * (t - job.release));
     emit_releases_up_to(t);
@@ -377,9 +340,11 @@ SampledRun run_generic_nc_uniform(const Instance& instance, const PowerFunction&
                 .value = om.energy(), .aux = om.fractional_flow(), .label = "numeric_nc");
   }
   if (obs::tracing_enabled()) emit_releases_up_to(kInf);
-  run.energy = om.energy();
-  run.fractional_flow = om.fractional_flow();
-  run.integral_flow = om.integral_flow();
+  robust::InvariantOptions check;
+  check.kind = robust::RunKind::kAlgorithmNC;
+  check.reference_c = &c_run;
+  if (const auto* law = dynamic_cast<const PowerLaw*>(&power)) check.alpha = law->alpha();
+  finish(run, om, instance, check);
   return run;
 }
 

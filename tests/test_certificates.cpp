@@ -27,6 +27,7 @@
 #include "src/core/kinematics.h"
 #include "src/obs/cert/potential_tracker.h"
 #include "src/obs/trace.h"
+#include "src/opt/convex_opt.h"
 #include "src/workload/generators.h"
 
 namespace speedscale {
@@ -194,6 +195,25 @@ TEST_F(CertificatesTest, ProfileCertificateDisablesItselfOnPreemptiveStreams) {
   const CertificateLedger ledger = obs::cert::certify_events(evs, 2.0);
   EXPECT_DOUBLE_EQ(ledger.max_defect, 0.0);
   EXPECT_DOUBLE_EQ(ledger.rearrangement_defect, -1.0);
+}
+
+// The prefix bound is each solve's grid dual, a lower bound on the grid
+// optimum.  On mixed densities FISTA's objective is a feasible point above
+// the optimum, so using it could lift OPT_lb past OPT.
+TEST_F(CertificatesTest, MixedDensityPrefixBoundIsTheSolvesDual) {
+  const Instance inst({Job{kNoJob, 0.0, 2.0, 1.0}, Job{kNoJob, 0.2, 0.5, 4.0}});
+  const std::vector<TraceEvent> evs = capture([&] { (void)run_c(inst, 2.0); });
+  const CertOptions options;  // kPrefixConvex
+  const CertificateLedger ledger = obs::cert::certify_events(evs, 2.0, options);
+  const ConvexOptResult solve = solve_fractional_opt(
+      inst, 2.0, {.slots = options.opt_slots, .max_iters = options.opt_max_iters});
+  ASSERT_LT(solve.dual, solve.objective);
+  double lb_after_second_release = -1.0;
+  for (const CertRecord& r : ledger.records) {
+    if (r.kind == EventKind::kJobRelease && r.job == 1) lb_after_second_release = r.opt_lb_cum;
+  }
+  EXPECT_EQ(lb_after_second_release, solve.dual);
+  EXPECT_EQ(ledger.opt_lb_final, solve.dual);
 }
 
 // --- Serialization: golden bytes and replay round-trips ---------------------

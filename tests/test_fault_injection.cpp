@@ -22,7 +22,6 @@
 #include "src/robust/checkpoint.h"
 #include "src/robust/diagnostics.h"
 #include "src/robust/fault_injection.h"
-#include "src/robust/guarded_engine.h"
 #include "src/robust/invariants.h"
 #include "src/sim/numeric_engine.h"
 #include "src/workload/trace_io.h"
@@ -51,15 +50,15 @@ bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
 // --- Injector mechanics -----------------------------------------------------
 
 TEST(FaultInjector, SeededPlanIsDeterministic) {
-  const FaultPlan a = robust::seed_faults(42, FaultSite::kOdeSubstepNaN, 5, 1000);
-  const FaultPlan b = robust::seed_faults(42, FaultSite::kOdeSubstepNaN, 5, 1000);
-  const auto& sa = a.fire_at[static_cast<std::size_t>(FaultSite::kOdeSubstepNaN)];
-  const auto& sb = b.fire_at[static_cast<std::size_t>(FaultSite::kOdeSubstepNaN)];
+  const FaultPlan a = robust::seed_faults(42, FaultSite::kRootBracket, 5, 1000);
+  const FaultPlan b = robust::seed_faults(42, FaultSite::kRootBracket, 5, 1000);
+  const auto& sa = a.fire_at[static_cast<std::size_t>(FaultSite::kRootBracket)];
+  const auto& sb = b.fire_at[static_cast<std::size_t>(FaultSite::kRootBracket)];
   EXPECT_EQ(sa, sb);
   EXPECT_EQ(sa.size(), 5u);
   for (const std::uint64_t i : sa) EXPECT_LT(i, 1000u);
-  const FaultPlan c = robust::seed_faults(43, FaultSite::kOdeSubstepNaN, 5, 1000);
-  EXPECT_NE(sa, c.fire_at[static_cast<std::size_t>(FaultSite::kOdeSubstepNaN)]);
+  const FaultPlan c = robust::seed_faults(43, FaultSite::kRootBracket, 5, 1000);
+  EXPECT_NE(sa, c.fire_at[static_cast<std::size_t>(FaultSite::kRootBracket)]);
 }
 
 TEST(FaultInjector, CountsCallsAndFires) {
@@ -80,101 +79,34 @@ TEST(FaultInjector, CountsCallsAndFires) {
   EXPECT_FALSE(robust::fault_fire(FaultSite::kRootBracket));
 }
 
-// --- ODE engine: NaN substeps ----------------------------------------------
+// --- Generic engine: non-finite quadrature --------------------------------
 
-TEST(OdeFault, UnguardedEngineThrowsTypedNonfinite) {
-  ScopedFaultPlan plan(FaultPlan{}.fire(FaultSite::kOdeSubstepNaN, {0}));
+TEST(QuadratureFault, NonFiniteIntegrandThrowsTyped) {
+  // A power function poisoned above s = 0.5: the band's integrand turns NaN
+  // there, and the run must raise the typed diagnostic, never return NaN.
+  class PoisonedPower final : public PowerFunction {
+   public:
+    double power(double s) const override { return s > 0.5 ? std::nan("") : s * s; }
+    double speed_for_power(double p) const override { return std::sqrt(p); }
+    double derivative(double s) const override { return 2.0 * s; }
+    std::string name() const override { return "poisoned s^2"; }
+  };
   const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
-  const PowerLaw p(2.0);
   try {
-    (void)run_generic_c(inst, p);
+    (void)run_generic_c(inst, PoisonedPower());
     FAIL() << "expected RobustError";
   } catch (const RobustError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kNumericNonfinite);
-    EXPECT_NE(std::string(e.what()).find("non-finite substep"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("non-finite integrand"), std::string::npos);
   }
-}
-
-TEST(OdeFault, GuardedEngineRetriesAndRecovers) {
-  ScopedFaultPlan plan(FaultPlan{}.fire(FaultSite::kOdeSubstepNaN, {0}));
-  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.4, 0.7, 1.0}});
-  const PowerLaw p(2.0);
-  robust::GuardedNumericOptions opts;
-  opts.base.substeps_per_interval = 512;
-  opts.alpha = 2.0;
-  const auto out = robust::run_generic_c_guarded(inst, p, opts);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.status, RunStatus::kDegraded);
-  EXPECT_EQ(out.attempts, 2);
-  ASSERT_FALSE(out.diagnostics.empty());
-  EXPECT_EQ(out.diagnostics.front().code, ErrorCode::kNumericNonfinite);
-  // The recovered value passes the C identity (energy == fractional flow).
-  const SampledRun& run = *out.value;
-  EXPECT_NEAR(run.energy, run.fractional_flow, 1e-5 * std::max(1.0, run.energy));
-}
-
-TEST(OdeFault, GuardedEngineFailsWhenFaultPersists) {
-  // Poison every substep of every rung: the ladder must exhaust cleanly.
-  FaultPlan plan;
-  auto& s = plan.fire_at[static_cast<std::size_t>(FaultSite::kOdeSubstepNaN)];
-  for (std::uint64_t i = 0; i < 200000; ++i) s.insert(i);
-  ScopedFaultPlan scoped(std::move(plan));
-  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
-  const PowerLaw p(2.0);
-  robust::GuardedNumericOptions opts;
-  opts.base.substeps_per_interval = 32;
-  opts.max_attempts = 3;
-  auto out = robust::run_generic_c_guarded(inst, p, opts);
-  EXPECT_EQ(out.status, RunStatus::kFailed);
-  EXPECT_FALSE(out.ok());
-  EXPECT_FALSE(out.value.has_value());
-  EXPECT_EQ(out.attempts, 3);
-  EXPECT_GE(out.diagnostics.size(), 3u);
-  EXPECT_THROW((void)out.value_or_throw(), RobustError);
-}
-
-TEST(OdeFault, GuardedNcRecoversAndReVerifiesLemmas) {
-  // The fault hits the guarded *reference* C run first; the NC outcome must
-  // degrade (carrying the reference's diagnostics) yet still satisfy the
-  // paper's identities after the retry.
-  ScopedFaultPlan plan(FaultPlan{}.fire(FaultSite::kOdeSubstepNaN, {0}));
-  const double alpha = 2.0;
-  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.6, 0.5, 1.0}});
-  const PowerLaw p(alpha);
-  robust::GuardedNumericOptions opts;
-  opts.base.substeps_per_interval = 1024;
-  opts.alpha = alpha;
-  const auto out = robust::run_generic_nc_uniform_guarded(inst, p, opts);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.status, RunStatus::kDegraded);
-  ASSERT_FALSE(out.diagnostics.empty());
-  // Lemma 3: NC energy equals C energy on the same instance.
-  const SampledRun ref = run_generic_c(inst, p, opts.base);
-  EXPECT_NEAR(out.value->energy, ref.energy, 1e-5 * std::max(1.0, ref.energy));
-  // Lemma 4 (power law): fractional flow == energy / (1 - 1/alpha), up to the
-  // completion-epsilon flow truncation of O(eps^{1-1/alpha}) ~ 3e-5 here.
-  const double lemma4 = out.value->energy / (1.0 - 1.0 / alpha);
-  EXPECT_NEAR(out.value->fractional_flow, lemma4, 1e-3 * std::max(1.0, lemma4));
-}
-
-TEST(OdeFault, CleanRunIsOkWithSingleAttempt) {
-  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
-  const PowerLaw p(2.5);
-  robust::GuardedNumericOptions opts;
-  opts.base.substeps_per_interval = 512;
-  opts.alpha = 2.5;
-  const auto out = robust::run_generic_c_guarded(inst, p, opts);
-  EXPECT_EQ(out.status, RunStatus::kOk);
-  EXPECT_EQ(out.attempts, 1);
-  EXPECT_TRUE(out.diagnostics.empty());
 }
 
 // --- Invariant checker ------------------------------------------------------
 
 TEST(Invariants, FlagsPoisonedRuns) {
-  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
+  const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}, Job{kNoJob, 0.5, 1.0, 1.0}});
   const PowerLaw p(2.0);
-  SampledRun run = run_generic_c(inst, p, {.substeps_per_interval = 512});
+  const SampledRun run = run_generic_c(inst, p);
   robust::InvariantOptions opts;
   opts.kind = robust::RunKind::kAlgorithmC;
   EXPECT_TRUE(robust::check_sampled_run(inst, run, opts).ok());
@@ -186,11 +118,17 @@ TEST(Invariants, FlagsPoisonedRuns) {
   EXPECT_EQ(r1.breaches.front().code, ErrorCode::kNumericNonfinite);
 
   SampledRun bad_times = run;
-  ASSERT_GE(bad_times.t.size(), 2u);
-  std::swap(bad_times.t.front(), bad_times.t.back());  // decreasing times
+  ASSERT_GE(bad_times.bands.size(), 2u);
+  std::swap(bad_times.bands.front(), bad_times.bands.back());  // decreasing times
   const auto r2 = robust::check_sampled_run(inst, bad_times, opts);
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.breaches.front().code, ErrorCode::kInvariantBreach);
+
+  SampledRun nan_band = run;
+  nan_band.bands.back().w_end = std::nan("");
+  const auto r3 = robust::check_sampled_run(inst, nan_band, opts);
+  ASSERT_FALSE(r3.ok());
+  EXPECT_EQ(r3.breaches.front().code, ErrorCode::kNumericNonfinite);
 }
 
 // --- Root finders -----------------------------------------------------------
@@ -588,28 +526,6 @@ TEST(AtomicIo, CertCheckpointFlushSurvivesWithoutCommit) {
 
 // --- Observability of the guards --------------------------------------------
 
-TEST(RobustMetrics, GuardTripsAndRecoveriesAreCounted) {
-  obs::set_metrics_enabled(true);
-  obs::Counter& trips = obs::registry().counter("robust.guard.trips");
-  obs::Counter& recoveries = obs::registry().counter("robust.retry.recoveries");
-  obs::Counter& fired = obs::registry().counter("robust.faults.fired.ode_substep_nan");
-  const std::int64_t trips0 = trips.value();
-  const std::int64_t rec0 = recoveries.value();
-  const std::int64_t fired0 = fired.value();
-  {
-    ScopedFaultPlan plan(FaultPlan{}.fire(FaultSite::kOdeSubstepNaN, {0}));
-    const Instance inst({Job{kNoJob, 0.0, 1.0, 1.0}});
-    robust::GuardedNumericOptions opts;
-    opts.base.substeps_per_interval = 256;
-    const auto out = robust::run_generic_c_guarded(inst, PowerLaw(2.0), opts);
-    EXPECT_EQ(out.status, RunStatus::kDegraded);
-  }
-  obs::set_metrics_enabled(false);
-  EXPECT_GE(trips.value(), trips0 + 1);
-  EXPECT_GE(recoveries.value(), rec0 + 1);
-  EXPECT_GE(fired.value(), fired0 + 1);
-}
-
 TEST(RobustMetrics, DiagnosticNamesAreStable) {
   EXPECT_STREQ(robust::error_code_name(ErrorCode::kNumericNonfinite), "numeric_nonfinite");
   EXPECT_STREQ(robust::error_code_name(ErrorCode::kRootNotBracketed), "root_not_bracketed");
@@ -621,7 +537,7 @@ TEST(RobustMetrics, DiagnosticNamesAreStable) {
   EXPECT_STREQ(robust::run_status_name(RunStatus::kOk), "ok");
   EXPECT_STREQ(robust::run_status_name(RunStatus::kDegraded), "degraded");
   EXPECT_STREQ(robust::run_status_name(RunStatus::kFailed), "failed");
-  EXPECT_STREQ(robust::fault_site_name(FaultSite::kOdeSubstepNaN), "ode_substep_nan");
+  EXPECT_STREQ(robust::fault_site_name(FaultSite::kRootBracket), "root_bracket");
   EXPECT_STREQ(robust::fault_site_name(FaultSite::kPoolTask), "pool_task");
 }
 

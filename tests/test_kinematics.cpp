@@ -6,33 +6,32 @@
 #include <limits>
 
 #include "src/core/kinematics.h"
-#include "src/numerics/ode.h"
+#include "src/core/power.h"
+#include "src/sim/numeric_engine.h"
 
 namespace speedscale {
 namespace {
 
 class KinematicsAlpha : public ::testing::TestWithParam<double> {};
 
+// The closed forms against the generic engine's quadrature, which
+// integrates dt = dw / (rho P^{-1}(w)) from P itself.
 TEST_P(KinematicsAlpha, DecayMatchesOde) {
   const double alpha = GetParam();
   const PowerLawKinematics kin(alpha);
   const double rho = 1.3, w0 = 5.0, dt = 0.7;
-  const double closed = kin.decay_weight_after(w0, rho, dt);
-  const double ode = numerics::integrate(
-      [&](double, double w) { return -rho * std::pow(std::max(w, 0.0), 1.0 / alpha); }, 0.0, w0,
-      dt, 1e-12);
-  EXPECT_NEAR(closed, ode, 1e-7 * w0);
+  const double w1 = kin.decay_weight_after(w0, rho, dt);
+  const double quad = band_integrals(PowerLaw(alpha), w1, w0).time / rho;
+  EXPECT_NEAR(quad, dt, 1e-13 * dt);
 }
 
 TEST_P(KinematicsAlpha, GrowMatchesOde) {
   const double alpha = GetParam();
   const PowerLawKinematics kin(alpha);
   const double rho = 0.8, u0 = 0.5, dt = 1.9;
-  const double closed = kin.grow_weight_after(u0, rho, dt);
-  const double ode = numerics::integrate(
-      [&](double, double u) { return rho * std::pow(std::max(u, 0.0), 1.0 / alpha); }, 0.0, u0,
-      dt, 1e-12);
-  EXPECT_NEAR(closed, ode, 1e-6 * closed);
+  const double u1 = kin.grow_weight_after(u0, rho, dt);
+  const double quad = band_integrals(PowerLaw(alpha), u0, u1).time / rho;
+  EXPECT_NEAR(quad, dt, 1e-13 * dt);
 }
 
 TEST_P(KinematicsAlpha, DecayTimeInvertsWeightAfter) {

@@ -9,7 +9,6 @@
 #include <random>
 #include <vector>
 
-#include "src/numerics/ode.h"
 #include "src/numerics/projection.h"
 #include "src/numerics/roots.h"
 #include "src/numerics/stats.h"
@@ -63,44 +62,6 @@ TEST(Roots, FindRootIncreasingExpandsBracket) {
   const double r =
       find_root_increasing([](double x) { return x - 100.0; }, 0.0, 1.0, 1e-12);
   EXPECT_NEAR(r, 100.0, 1e-8);
-}
-
-TEST(Ode, Rk4SolvesLinearDecay) {
-  // y' = -y, y(0) = 1: y(1) = e^{-1}.
-  double y = 1.0;
-  const int n = 100;
-  for (int i = 0; i < n; ++i) {
-    y = rk4_step([](double, double v) { return -v; }, 0.0, y, 1.0 / n);
-  }
-  EXPECT_NEAR(y, std::exp(-1.0), 1e-9);
-}
-
-TEST(Ode, AdaptiveIntegrationAccuracy) {
-  // y' = cos(t), y(0) = 0: y(pi) = 0 (through a full arch).
-  const double y = integrate([](double t, double) { return std::cos(t); }, 0.0, 0.0, M_PI,
-                             1e-12);
-  EXPECT_NEAR(y, std::sin(M_PI), 1e-9);
-  const double half = integrate([](double t, double) { return std::cos(t); }, 0.0, 0.0,
-                                M_PI / 2.0, 1e-12);
-  EXPECT_NEAR(half, 1.0, 1e-9);
-}
-
-TEST(Ode, IntegrateUntilLocalizesEvent) {
-  // y' = -y from y=1; event: y <= 1/2 at t = ln 2.
-  const EventResult r = integrate_until(
-      [](double, double y) { return -y; }, 0.0, 1.0, 10.0,
-      [](double, double y) { return y - 0.5; }, 1e-12);
-  EXPECT_TRUE(r.event_hit);
-  EXPECT_NEAR(r.t, std::log(2.0), 1e-8);
-  EXPECT_NEAR(r.y, 0.5, 1e-8);
-}
-
-TEST(Ode, IntegrateUntilHonorsTMax) {
-  const EventResult r = integrate_until(
-      [](double, double) { return 0.0; }, 0.0, 1.0, 2.0,
-      [](double, double y) { return y; }, 1e-10);
-  EXPECT_FALSE(r.event_hit);
-  EXPECT_DOUBLE_EQ(r.t, 2.0);
 }
 
 TEST(Projection, AlreadyFeasibleIsFixedPoint) {

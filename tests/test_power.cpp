@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "src/core/power.h"
 
@@ -58,6 +59,22 @@ TEST(ExpPower, InverseRoundTrip) {
   EXPECT_DOUBLE_EQ(p.power(0.0), 0.0);
   for (double s : {0.1, 1.0, 3.0, 10.0}) {
     EXPECT_NEAR(p.speed_for_power(p.power(s)), s, 1e-12 * std::max(1.0, s));
+  }
+}
+
+// P^{-1} keeps its relative digits at every scale of p, down to the
+// epsilon-level band ends the generic engine inverts.
+TEST(Power, InverseKeepsRelativeDigits) {
+  std::vector<std::unique_ptr<PowerFunction>> fns;
+  fns.push_back(std::make_unique<PowerLaw>(2.5));
+  fns.push_back(std::make_unique<LeakyPowerLaw>(2.0, 0.5));
+  fns.push_back(std::make_unique<LeakyPowerLaw>(3.0, 2.0));
+  fns.push_back(std::make_unique<ExpPower>());
+  for (const auto& fn : fns) {
+    for (double p = 1e-12; p <= 1e6; p *= 10.0) {
+      EXPECT_LE(std::abs(fn->power(fn->speed_for_power(p)) - p), 1e-14 * p)
+          << fn->name() << " at p = " << p;
+    }
   }
 }
 

@@ -26,7 +26,6 @@
 #include "src/opt/convex_opt.h"
 #include "src/opt/opt_cache.h"
 #include "src/robust/fault_injection.h"
-#include "src/robust/guarded_engine.h"
 #include "src/workload/generators.h"
 
 namespace speedscale {
@@ -299,55 +298,6 @@ TEST(CertifySolverJobs, LedgerByteIdenticalAtAnyJobs) {
   EXPECT_EQ(serial.records.size(), parallel.records.size());
   EXPECT_EQ(serial.opt_lb_updates, parallel.opt_lb_updates);
   EXPECT_EQ(obs::cert::certificates_jsonl(serial), obs::cert::certificates_jsonl(parallel));
-}
-
-// --- Guarded engine: attempted vs committed work ------------------------
-
-TEST(GuardedWork, CleanRunCommitsEverythingItAttempts) {
-  obs::set_metrics_enabled(true);
-  obs::Counter& attempted = obs::registry().counter("robust.work.attempted_units");
-  obs::Counter& committed = obs::registry().counter("robust.work.committed_units");
-  const Instance inst = workload::generate({.n_jobs = 4, .arrival_rate = 1.5, .seed = 1});
-  const PowerLaw p(2.0);
-  robust::GuardedNumericOptions options;
-  options.base.substeps_per_interval = 64;
-  options.alpha = 2.0;
-  robust::FaultInjector::instance().clear();
-  const std::int64_t a0 = attempted.value();
-  const std::int64_t c0 = committed.value();
-  const auto outcome = robust::run_generic_c_guarded(inst, p, options);
-  EXPECT_TRUE(outcome.ok());
-  const std::int64_t did = attempted.value() - a0;
-  EXPECT_GT(did, 0);
-  EXPECT_EQ(did, committed.value() - c0);
-}
-
-TEST(GuardedWork, RejectedAttemptCountsAsAttemptedNotCommitted) {
-  obs::set_metrics_enabled(true);
-  obs::Counter& attempted = obs::registry().counter("robust.work.attempted_units");
-  obs::Counter& committed = obs::registry().counter("robust.work.committed_units");
-  const Instance inst = workload::generate({.n_jobs = 4, .arrival_rate = 1.5, .seed = 1});
-  const PowerLaw p(2.0);
-  robust::GuardedNumericOptions options;
-  options.base.substeps_per_interval = 64;
-  options.alpha = 2.0;
-  const std::int64_t a0 = attempted.value();
-  const std::int64_t c0 = committed.value();
-  {
-    // NaN at substep 10 rejects attempt 0; the ladder retries clean (the
-    // plan's index is absolute, so it never re-fires on the retry).
-    robust::ScopedFaultPlan plan(
-        robust::FaultPlan{}.fire(robust::FaultSite::kOdeSubstepNaN, {10}));
-    const auto outcome = robust::run_generic_c_guarded(inst, p, options);
-    EXPECT_TRUE(outcome.ok());
-    EXPECT_EQ(outcome.attempts, 2);
-  }
-  const std::int64_t did_attempt = attempted.value() - a0;
-  const std::int64_t did_commit = committed.value() - c0;
-  EXPECT_GT(did_commit, 0);
-  // The rejected rung's substeps are attempted-only: no double counting in
-  // the committed (ledger-visible) totals.
-  EXPECT_GT(did_attempt, did_commit);
 }
 
 }  // namespace
