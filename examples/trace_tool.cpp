@@ -8,8 +8,8 @@
 //              [--trace events.jsonl] [--obs report.json]
 //              [--chrome chrome.json] [--cert-out certs.jsonl]
 //              [--fail-on-violation] [--lenient] [--help]
-//   trace_tool --certify recorded.{jsonl|json} [--cert-out certs.jsonl]
-//              [--alpha A] [--jobs N] [--fail-on-violation]
+//   trace_tool --certify recorded.jsonl [--cert-out certs.jsonl]
+//              [--alpha A] [--fail-on-violation]
 //
 // Trace format (header required):  id,release,volume,density
 // Reads are strict by default: a malformed line is a typed, line-numbered
@@ -24,22 +24,19 @@
 // for https://ui.perfetto.dev or chrome://tracing.
 //
 // Certificates (src/obs/cert/, docs/observability.md): --certify FILE
-// replays a recorded event trace (JSONL from --trace, or a Chrome trace from
-// --chrome) through the potential-function ledger and prints the certificate
-// summary, running no scheduler; --cert-out on a live run certifies the
-// run's own event stream and writes the per-event certificate JSONL
-// (scripts/plot_certificates.py plots it).  --fail-on-violation exits with
+// replays a recorded JSONL event trace (from --trace; Chrome exports are
+// write-only) through the potential-function ledger and prints the
+// certificate summary, running no scheduler; --cert-out on a live run
+// certifies the run's own event stream and writes the per-event certificate
+// JSONL (scripts/plot_certificates.py plots it).  --fail-on-violation exits with
 // code 3 when any certificate has negative slack.
 // Run with no arguments to see a demo on a generated trace; --help for the
 // full flag reference (docs/observability.md has the long-form version).
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "src/algo/algorithm_c.h"
@@ -48,13 +45,11 @@
 #include "src/algo/baselines.h"
 #include "src/analysis/export.h"
 #include "src/obs/cert/potential_tracker.h"
-#include "src/obs/json_min.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/perf/chrome_trace.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
-#include "src/opt/opt_cache.h"
 #include "src/robust/diagnostics.h"
 #include "src/workload/generators.h"
 #include "src/workload/trace_io.h"
@@ -101,17 +96,15 @@ void print_flags(std::FILE* to) {
       "  --lenient            skip-and-count malformed trace lines instead of failing\n"
       "  --out FILE           write the schedule as CSV (t0,t1,job,speed_law,param,rho)\n"
       "  --profile FILE       write the piecewise speed profile as CSV\n"
-      "  --jobs FILE          write the per-job summary (completion, flow) as CSV;\n"
-      "                       in --certify mode: a worker-thread count N for the\n"
-      "                       ledger's prefix OPT solves (same certificates at any N)\n"
+      "  --jobs FILE          write the per-job summary (completion, flow) as CSV\n"
       "  --trace FILE         record the structured event stream as JSONL and print\n"
       "                       a per-kind summary\n"
       "  --obs FILE           write the metrics + profiler report as JSON\n"
       "  --chrome FILE        export the event stream as a Chrome Trace Event Format\n"
       "                       JSON for ui.perfetto.dev / chrome://tracing\n"
-      "  --certify FILE       replay a recorded trace (JSONL from --trace, or a\n"
-      "                       Chrome trace from --chrome) into a certificate report;\n"
-      "                       runs no scheduler\n"
+      "  --certify FILE       replay a JSONL trace recorded with --trace into a\n"
+      "                       certificate report; runs no scheduler (Chrome exports\n"
+      "                       are write-only)\n"
       "  --cert-out FILE      write the per-event certificate JSONL; on a live run\n"
       "                       this certifies the run's own event stream\n"
       "  --fail-on-violation  exit with code 3 if any certificate has negative slack\n"
@@ -140,27 +133,6 @@ bool parse_finite(const std::string& text, double& out) {
   if (ec != std::errc() || p != last || !std::isfinite(v)) return false;
   out = v;
   return true;
-}
-
-/// Replays a recorded trace file (JSONL event stream or Chrome Trace Event
-/// Format — sniffed by parsing) into events plus the recorded alpha.
-obs::cert::ReplayedTrace replay_recorded_trace(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw ModelError("cannot open " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  const std::string text = ss.str();
-  // A Chrome trace is one JSON document with a traceEvents array; a JSONL
-  // stream fails the whole-file parse on its second line.
-  try {
-    const obs::JsonValue doc = obs::parse_json(text);
-    if (doc.is_object() && doc.find("traceEvents") != nullptr) {
-      return obs::cert::replay_chrome_trace(text);
-    }
-  } catch (const ModelError&) {
-  }
-  std::istringstream lines(text);
-  return obs::cert::replay_jsonl_trace(lines);
 }
 
 }  // namespace
@@ -219,28 +191,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --certify: pure replay of a recorded trace — no scheduler runs.  In this
-  // mode --jobs is a worker count for the ledger's prefix convex solves (the
-  // certificates are byte-identical at any count), not a jobs.csv path.
-  if (!certify_path.empty()) {
-    obs::cert::CertOptions copts;
-    if (!jobs_path.empty()) {
-      char* end = nullptr;
-      const long n = std::strtol(jobs_path.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
-        return usage("--jobs in --certify mode takes a worker count", jobs_path.c_str());
-      }
-      copts.solver_jobs = static_cast<int>(n);
-    }
-    try {
-      const obs::cert::ReplayedTrace replayed = replay_recorded_trace(certify_path);
+  // --certify: pure replay of a recorded JSONL trace — no scheduler runs,
+  // so there is no per-job summary to write.
+  if (!certify_path.empty() && !jobs_path.empty()) {
+    return usage("--jobs does not apply to --certify");
+  }
+  try {
+    if (!certify_path.empty()) {
+      std::ifstream f(certify_path);
+      if (!f) throw ModelError("cannot open " + certify_path);
+      const obs::cert::ReplayedTrace replayed = obs::cert::replay_jsonl_trace(f);
       const double a = replayed.alpha > 1.0 ? replayed.alpha : alpha;
-      // Memoize the prefix solves: replays of overlapping streams (or the
-      // C + NC pair of one instance) repeat prefixes exactly.
-      OptSolveCache opt_cache(512);
-      ScopedOptSolveCache opt_cache_scope(&opt_cache);
-      const obs::cert::CertificateLedger ledger =
-          obs::cert::certify_events(replayed.events, a, copts);
+      const obs::cert::CertificateLedger ledger = obs::cert::certify_events(replayed.events, a);
       std::printf("certified %s: %zu event(s), alpha=%.3g\n%s", certify_path.c_str(),
                   replayed.events.size(), a, ledger.summary().c_str());
       if (!cert_out.empty()) {
@@ -254,13 +216,8 @@ int main(int argc, char** argv) {
         return 3;
       }
       return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
     }
-  }
 
-  try {
     Instance inst;
     if (trace_path.empty()) {
       std::printf("(no trace given: demo on a generated 12-job trace; see --help)\n\n");

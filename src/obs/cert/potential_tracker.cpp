@@ -1,16 +1,11 @@
 #include "src/obs/cert/potential_tracker.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <istream>
-#include <limits>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,7 +16,6 @@
 #include "src/obs/json_util.h"
 #include "src/obs/metrics_registry.h"
 #include "src/opt/convex_opt.h"
-#include "src/opt/opt_cache.h"
 #include "src/opt/single_job_opt.h"
 #include "src/robust/atomic_io.h"
 #include "src/sim/c_machine.h"
@@ -202,8 +196,17 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
 
   CertificateLedger ledger;
   ledger.alpha = alpha;
-  ledger.c_frac = options.c_frac > 0.0 ? options.c_frac : 2.0 + 1.0 / (alpha - 1.0);
-  ledger.c_int = options.c_int > 0.0 ? options.c_int : 3.0 + 1.0 / (alpha - 1.0);
+  ledger.c_frac = 2.0 + 1.0 / (alpha - 1.0);
+  ledger.c_int = 3.0 + 1.0 / (alpha - 1.0);
+  // Checked before the sort: a NaN time breaks its ordering.
+  for (const TraceEvent& ev : events) {
+    const bool costed = ev.kind == EventKind::kJobRelease || ev.kind == EventKind::kJobComplete;
+    if (!std::isfinite(ev.t) || (costed && !(std::isfinite(ev.value) && std::isfinite(ev.aux)))) {
+      throw ModelError(std::string("certify_events: non-finite ") +
+                       (std::isfinite(ev.t) ? "payload" : "time") + " on a " +
+                       event_kind_name(ev.kind) + " event of job " + std::to_string(ev.job));
+    }
+  }
 
   std::vector<TraceEvent> sorted = events;
   std::stable_sort(sorted.begin(), sorted.end(), [](const TraceEvent& a, const TraceEvent& b) {
@@ -269,9 +272,9 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
   // band in exactly the closed-form time: the growing branch for NC streams
   // (U: u0 -> u0 + W_j), the decaying branch for single-segment C streams
   // (W: u0 -> u0 - W_j).  Requires an unambiguous window — exactly one speed
-  // change per job and no preemptions; kAuto turns the check off otherwise
+  // change per job and no preemptions; the check is off otherwise
   // (numerically-stepped engines emit no per-job speed events at all).
-  bool profile_on = options.profile == ProfileCert::kAuto && preemptions == 0;
+  bool profile_on = preemptions == 0;
   std::size_t completed = 0;
   for (const auto& [id, js] : jobs) {
     if (!js.completed) continue;
@@ -304,78 +307,6 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
     }
   }
 
-  // --- Prefix convex solves, hoisted out of pass 2 ------------------------
-  // Each qualifying release k solves the prefix instance of releases 0..k —
-  // a pure function of the (already fixed) release order, so the solves can
-  // run ahead of the walk, sharded across options.solver_jobs threads.
-  // Each solve contributes its `dual`, the grid Lagrangian dual: a lower
-  // bound on the grid optimum, where FISTA's `objective` (mixed densities)
-  // is a feasible point above it.  Pass 2 consumes the bounds in stream
-  // order, which keeps the ledger byte-identical at any thread count.  NaN
-  // marks an unsolvable prefix (ModelError): pass 2 keeps the previous
-  // bound and does not count an update, exactly as the inline solve did.
-  std::vector<double> prefix_lower_bound;
-  if (options.opt_lb == OptLbMode::kPrefixConvex) {
-    std::vector<Job> releases;  // qualifying releases, in stream order
-    {
-      std::map<JobId, bool> seen;
-      for (const TraceEvent& ev : sorted) {
-        if (ev.kind != EventKind::kJobRelease || ev.job == kNoJob || seen[ev.job]) continue;
-        seen[ev.job] = true;
-        const JobState& js = jobs[ev.job];
-        if (js.volume > 0.0 && js.density > 0.0) {
-          releases.push_back(Job{ev.job, js.r, js.volume, js.density});
-        }
-      }
-    }
-    prefix_lower_bound.assign(releases.size(), std::numeric_limits<double>::quiet_NaN());
-    const auto solve_prefix = [&](std::size_t k) {
-      try {
-        TraceSuppressGuard suppress_virtual_solves;
-        ConvexOptParams params;
-        params.slots = options.opt_slots;
-        params.max_iters = options.opt_max_iters;
-        std::vector<Job> pre(releases.begin(),
-                             releases.begin() + static_cast<std::ptrdiff_t>(k + 1));
-        prefix_lower_bound[k] =
-            solve_fractional_opt(Instance(std::move(pre)), alpha, params).dual;
-      } catch (const ModelError&) {
-        // leave NaN: unsolvable prefix keeps the previous bound
-      }
-    };
-    const std::size_t n_solves = releases.size();
-    const std::size_t workers = std::min(
-        n_solves, options.solver_jobs > 1 ? static_cast<std::size_t>(options.solver_jobs)
-                                          : std::size_t{1});
-    if (workers > 1) {
-      // Plain std::thread workers (obs cannot depend on analysis::ThreadPool)
-      // over an atomic work counter.  Each worker re-installs the caller's
-      // OPT solve cache so repeated prefixes memoize across certify calls.
-      OptSolveCache* caller_cache = active_opt_cache();
-      std::atomic<std::size_t> next{0};
-      std::exception_ptr first_error;
-      std::mutex error_mu;
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-          ScopedOptSolveCache cache_scope(caller_cache);
-          try {
-            for (std::size_t k; (k = next.fetch_add(1)) < n_solves;) solve_prefix(k);
-          } catch (...) {
-            // Rethrown after the join: same propagation as the serial path.
-            const std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-      if (first_error) std::rethrow_exception(first_error);
-    } else {
-      for (std::size_t k = 0; k < n_solves; ++k) solve_prefix(k);
-    }
-  }
-
   // --- Pass 2: walk the stream, maintain Phi and the OPT lower bound ------
   double phi = 0.0;
   double phi_int = 0.0;
@@ -383,7 +314,7 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
   double alg_cum_int = 0.0;
   double opt_lb = 0.0;
   double min_combined = kInf;
-  std::size_t prefix_idx = 0;  // next entry of prefix_lower_bound to consume
+  std::vector<Job> prefix;  // qualifying releases so far (kPrefixConvex)
   std::map<JobId, bool> seen_release, seen_complete;
 
   for (const TraceEvent& ev : sorted) {
@@ -404,13 +335,20 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
         if (options.opt_lb == OptLbMode::kSingleJob) {
           lb_new = opt_lb + single_job_frac_opt(js.volume, js.density, alpha).objective;
           ++ledger.opt_lb_updates;
-        } else if (options.opt_lb == OptLbMode::kPrefixConvex) {
-          const double lower = prefix_lower_bound[prefix_idx++];
-          if (!std::isnan(lower)) {
-            lb_new = std::max(opt_lb, lower);
+        } else {
+          // The solve's `dual` is the grid Lagrangian dual, a lower bound on
+          // the grid optimum; on mixed densities FISTA's `objective` is a
+          // feasible point above it.  The thread's installed OPT cache, if
+          // any, serves repeated prefixes.
+          prefix.push_back(Job{ev.job, js.r, js.volume, js.density});
+          try {
+            TraceSuppressGuard suppress_virtual_solves;
+            const ConvexOptParams params{.slots = options.opt_slots, .max_iters = kCertOptMaxIters};
+            lb_new = std::max(opt_lb, solve_fractional_opt(Instance(prefix), alpha, params).dual);
             ++ledger.opt_lb_updates;
+          } catch (const ModelError&) {
+            // unsolvable prefix: keep the previous bound (no update)
           }
-          // NaN: unsolvable prefix, keep the previous bound (no update)
         }
         rec.d_opt_lb = lb_new - opt_lb;
         opt_lb = lb_new;
@@ -511,7 +449,6 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
     registry().gauge("obs.cert.max_defect").set(ledger.max_defect);
   }
   if (options.emit_trace_events && tracing_enabled()) {
-    const int every = std::max(1, options.checkpoint_every);
     int since_flush = 0;
     for (const CertRecord& rec : ledger.records) {
       TRACE_EVENT(.kind = EventKind::kPhaseBoundary, .t = rec.t, .job = rec.job,
@@ -521,7 +458,7 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
       // Periodic checkpoint: push every sink's buffered bytes to the OS so a
       // crashed run keeps its certificate stream (JsonlSink streams to the
       // ".tmp" sibling; flushed lines survive even without the final commit).
-      if (++since_flush >= every) {
+      if (++since_flush >= kCertCheckpointEvery) {
         Tracer::instance().flush();
         since_flush = 0;
       }
@@ -536,16 +473,27 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
 namespace {
 
 /// Payload numbers round-trip through json_util's convention: non-finite
-/// doubles serialize as the quoted strings "inf"/"-inf"/"nan".
-double replay_number(const JsonValue& v, const char* what, std::size_t line) {
-  if (v.is_number()) return v.number;
-  if (v.is_string()) {
-    if (v.string == "inf") return kInf;
-    if (v.string == "-inf") return -kInf;
-    if (v.string == "nan") return std::nan("");
+/// doubles serialize as the quoted strings "inf"/"-inf"/"nan".  `v` is
+/// null when the field is missing.
+double replay_number(const JsonValue* v, const char* what, std::size_t line) {
+  if (v != nullptr && v->is_number()) return v->number;
+  if (v != nullptr && v->is_string()) {
+    if (v->string == "inf") return kInf;
+    if (v->string == "-inf") return -kInf;
+    if (v->string == "nan") return std::nan("");
   }
   throw ModelError("replay: line " + std::to_string(line) + ": field '" + what +
-                   "' is not a number");
+                   "' is missing or not a number");
+}
+
+/// "job" and "machine" are ids: an integer in [-1, 2^31 - 1], -1 for none.
+std::int32_t replay_id(const JsonValue* v, const char* what, std::size_t line) {
+  const double x = replay_number(v, what, line);
+  if (!(x >= -1.0 && x <= 2147483647.0 && x == std::floor(x))) {
+    throw ModelError("replay: line " + std::to_string(line) + ": field '" + what +
+                     "' is not an integer in [-1, 2^31 - 1]");
+  }
+  return static_cast<std::int32_t>(x);
 }
 
 bool kind_from_name(const std::string& name, EventKind* out) {
@@ -577,6 +525,11 @@ ReplayedTrace replay_jsonl_trace(std::istream& is) {
     if (!v.is_object()) {
       throw ModelError("replay: line " + std::to_string(lineno) + ": not a JSON object");
     }
+    if (v.find("traceEvents") != nullptr) {
+      throw ModelError("replay: line " + std::to_string(lineno) +
+                       ": a Chrome trace export, which is write-only; certify the JSONL "
+                       "event trace that --trace records");
+    }
     const JsonValue* kind = v.find("kind");
     if (kind == nullptr || !kind->is_string()) {
       throw ModelError("replay: line " + std::to_string(lineno) + ": missing \"kind\"");
@@ -586,15 +539,15 @@ ReplayedTrace replay_jsonl_trace(std::istream& is) {
       throw ModelError("replay: line " + std::to_string(lineno) + ": unknown kind \"" +
                        kind->string + "\"");
     }
-    ev.t = replay_number(v.at("t"), "t", lineno);
+    ev.t = replay_number(v.find("t"), "t", lineno);
     if (const JsonValue* job = v.find("job"); job != nullptr) {
-      ev.job = static_cast<JobId>(replay_number(*job, "job", lineno));
+      ev.job = replay_id(job, "job", lineno);
     }
     if (const JsonValue* machine = v.find("machine"); machine != nullptr) {
-      ev.machine = static_cast<MachineId>(replay_number(*machine, "machine", lineno));
+      ev.machine = replay_id(machine, "machine", lineno);
     }
-    ev.value = replay_number(v.at("value"), "value", lineno);
-    ev.aux = replay_number(v.at("aux"), "aux", lineno);
+    ev.value = replay_number(v.find("value"), "value", lineno);
+    ev.aux = replay_number(v.find("aux"), "aux", lineno);
     // Labels are static-storage pointers in live events; a replayed stream
     // has none.  The "trace_tool" meta event's payload survives side-band.
     if (const JsonValue* label = v.find("label");
@@ -602,67 +555,6 @@ ReplayedTrace replay_jsonl_trace(std::istream& is) {
       out.alpha = ev.value;
     }
     out.events.push_back(ev);
-  }
-  return out;
-}
-
-// --- Replay: Chrome Trace Event Format back into TraceEvents ----------------
-
-ReplayedTrace replay_chrome_trace(const std::string& text) {
-  const JsonValue doc = parse_json(text);
-  const JsonValue* trace_events = doc.find("traceEvents");
-  if (trace_events == nullptr || !trace_events->is_array()) {
-    throw ModelError("replay: not a Chrome trace (no traceEvents array)");
-  }
-  // The exporter writes model seconds as microseconds (chrome_trace.h).
-  constexpr double kScale = 1e-6;
-  ReplayedTrace out;
-  for (const JsonValue& r : trace_events->array) {
-    if (!r.is_object()) continue;
-    const JsonValue* ph = r.find("ph");
-    const JsonValue* pid = r.find("pid");
-    const JsonValue* name = r.find("name");
-    if (ph == nullptr || !ph->is_string() || name == nullptr || !name->is_string()) continue;
-    if (pid == nullptr || !pid->is_number() || pid->number != 1.0) continue;  // model time only
-    const JsonValue* ts = r.find("ts");
-    const JsonValue* args = r.find("args");
-    const JsonValue* tid = r.find("tid");
-    if (ts == nullptr || !ts->is_number()) continue;
-    const double t = ts->number * kScale;
-    const JobId tid_job =
-        tid != nullptr && tid->is_number() && tid->number >= 1.0
-            ? static_cast<JobId>(tid->number) - 1
-            : kNoJob;
-    const auto arg = [&](const char* key) -> double {
-      if (args == nullptr) return 0.0;
-      const JsonValue* a = args->find(key);
-      return a != nullptr && a->is_number() ? a->number : 0.0;
-    };
-    const std::string& n = name->string;
-    const char p = ph->string.empty() ? '?' : ph->string[0];
-    if (n.rfind("job ", 0) == 0 && (p == 'X' || p == 'i')) {
-      // A job slice ('X', known completion) or instant ('i', no completion):
-      // either way its start is the release, with volume/density in args.
-      TraceEvent ev{EventKind::kJobRelease, t, kNoJob, kNoMachine, arg("volume"), arg("density")};
-      ev.job = static_cast<JobId>(std::strtol(n.c_str() + 4, nullptr, 10));
-      out.events.push_back(ev);
-    } else if (n == "complete" && p == 'i') {
-      out.events.push_back(
-          {EventKind::kJobComplete, t, tid_job, kNoMachine, arg("cum_energy"), arg("cum_flow")});
-    } else if (n == "speed" && p == 'C') {
-      // The counter series carries the speed but not the driving job/weight:
-      // replayed C/NC streams certify the potential, not the speed profile.
-      out.events.push_back({EventKind::kSpeedChange, t, kNoJob, kNoMachine, arg("speed"), 0.0});
-    } else if (n == "preemption" && p == 'i') {
-      out.events.push_back(
-          {EventKind::kPreemption, t, tid_job, kNoMachine, arg("by_job"), arg("remaining")});
-    } else if (n == "dispatch" && p == 'i') {
-      out.events.push_back({EventKind::kDispatch, t, tid_job, kNoMachine, arg("key"), 0.0});
-    } else if (p == 'i' && n.rfind("cert.", 0) != 0 && n != "trace_tool" && n != "trace_tool.end") {
-      continue;  // foreign instants (lifecycle 'b'/'e' spans are skipped too)
-    } else if (n == "trace_tool") {
-      out.alpha = arg("value");
-    }
   }
   return out;
 }

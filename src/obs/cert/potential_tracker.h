@@ -71,36 +71,24 @@ namespace speedscale::obs::cert {
 
 /// How the online OPT lower bound is computed at each release.
 enum class OptLbMode {
-  kNone,          ///< no bound (dOPT_lb = 0; slack is -committed cost)
   kSingleJob,     ///< sum of closed-form single-job optima (cheap, weak)
   kPrefixConvex,  ///< grid dual of the convex OPT on the released prefix (strong)
 };
 
-/// Whether the Lemma 6/7 band-sweep defect is computed per completion.
-enum class ProfileCert {
-  kAuto,  ///< on when the stream has one processing window per job
-  kOff,
-};
+/// FISTA iteration cap per kPrefixConvex prefix solve.
+inline constexpr int kCertOptMaxIters = 2000;
+/// With emit_trace_events, the ledger flushes every sink after this many
+/// records, so a crashed run keeps its certificate stream up to the last
+/// checkpoint (JsonlSink::flush makes the ".tmp" durable).
+inline constexpr int kCertCheckpointEvery = 16;
 
+/// The competitive constants are always the paper's: c = 2 + 1/(alpha-1)
+/// (fractional, Theorem 5) and 3 + 1/(alpha-1) (integral, Theorem 9).  The
+/// Lemma 6/7 band-sweep defect is computed whenever the stream has one
+/// processing window per job.
 struct CertOptions {
-  /// Competitive constants; 0 = the paper's values, 2 + 1/(alpha-1)
-  /// (fractional, Theorem 5) and 3 + 1/(alpha-1) (integral, Theorem 9).
-  double c_frac = 0.0;
-  double c_int = 0.0;
   OptLbMode opt_lb = OptLbMode::kPrefixConvex;
-  int opt_slots = 240;       ///< discretization of the prefix convex solves
-  int opt_max_iters = 2000;  ///< FISTA iteration cap per prefix solve
-  /// Worker threads for the kPrefixConvex solves.  Each release's prefix
-  /// solve is a pure function of the release order, so the solves run in a
-  /// pre-pass sharded across this many threads; the ledger (records, slack,
-  /// opt_lb_updates) is byte-identical at any value.  Workers re-install the
-  /// caller's active OPT solve cache (src/opt/opt_cache.h), if any.
-  int solver_jobs = 1;
-  ProfileCert profile = ProfileCert::kAuto;
-  /// When emitting through the Tracer (emit_trace_events), flush all sinks
-  /// every this many records so a crashed run keeps its certificate stream
-  /// up to the last checkpoint (JsonlSink::flush makes the ".tmp" durable).
-  int checkpoint_every = 16;
+  int opt_slots = 240;  ///< discretization of the prefix convex solves
   /// Re-emit each record as a phase_boundary trace event labelled
   /// "cert.slack" (value = slack, aux = d_opt_lb) plus "cert.phi"
   /// (value = phi, aux = d_phi): the Chrome exporter renders "cert.*"
@@ -175,6 +163,8 @@ void write_certificates_jsonl_file(const std::string& path, const CertificateLed
 /// (volume, density), job_complete events carry cumulative (energy, flow).
 /// Events need not be globally time-sorted (simulators interleave kinds);
 /// they are stably ordered internally.  Pure function of its inputs.
+/// Throws ModelError on a non-finite event time, or a non-finite payload on
+/// a release or completion.
 [[nodiscard]] CertificateLedger certify_events(const std::vector<TraceEvent>& events,
                                                double alpha, const CertOptions& options = {});
 
@@ -186,13 +176,10 @@ struct ReplayedTrace {
   double alpha = 0.0;
 };
 
-/// Parses a JSONL event trace (trace_tool --trace) back into events.
-/// Throws ModelError with a line number on malformed input.
+/// Parses a JSONL event trace (trace_tool --trace) back into events.  This
+/// is the only replay format: a Chrome export (trace_tool --chrome) is
+/// write-only.  Throws ModelError with a line number on malformed input,
+/// including a "job" or "machine" that is not an integer in [-1, 2^31 - 1].
 [[nodiscard]] ReplayedTrace replay_jsonl_trace(std::istream& is);
-
-/// Parses a Chrome Trace Event Format document (trace_tool --chrome) back
-/// into the model-time events it encodes (pid 1; profiler slices ignored).
-/// Throws ModelError on malformed JSON or a missing traceEvents array.
-[[nodiscard]] ReplayedTrace replay_chrome_trace(const std::string& text);
 
 }  // namespace speedscale::obs::cert

@@ -115,8 +115,22 @@ struct Quadrature {
   }
 };
 
-/// True when a band can reach weight 0 in finite time (P'(0) = 0).
-bool reaches_zero(const PowerFunction& power) { return !(power.derivative(0.0) > 0.0); }
+/// True when a band can reach weight 0 in finite time (P'(0) = 0), read off
+/// P itself with band_integrals' tail test: halving s from 1, P(s)/s either
+/// shrinks by a steady ratio or underflows (P'(0) = 0), or its ratios stop
+/// shrinking (P'(0) > 0).  PowerFunction::derivative is not consulted: its
+/// default finite difference reads P'(0) > 0 for every P.
+bool reaches_zero(const PowerFunction& power) {
+  double prev = kInf, ratio = kInf;
+  for (double s = 1.0; s > 0.0; s *= 0.5) {
+    const double q = power.power(s) / s, r = q / prev;
+    if (r >= 1.0 - kStopShrinking) return false;
+    if (!(q > 0.0) || std::abs(r - ratio) <= kRatioAgree) return true;
+    prev = q;
+    ratio = r;
+  }
+  return true;
+}
 
 /// Copies the accumulated objectives into `run` and runs the post-run
 /// checks once.  Nothing is retried: the quadrature meets its tolerance or

@@ -29,8 +29,8 @@
 // weight (the numeric analogue of the paper's "excess speed epsilon").
 // Both perturb the objectives by O(epsilon).  For P'(0) = 0 (power laws)
 // the bands reach 0 exactly and no epsilon applies.  The case is read from
-// power.derivative(0); the base class's finite difference reads P'(0) > 0
-// for every P, so a function that does not override it gets the epsilons.
+// P alone (P(s)/s at s = 1, 1/2, 1/4, ... keeps shrinking iff P'(0) = 0),
+// so a function need not override PowerFunction::derivative.
 #pragma once
 
 #include <map>

@@ -191,6 +191,25 @@ TEST(ChromeTrace, MatchesGoldenFile) {
   }
 }
 
+// The same stream as the JSONL event trace `trace_tool --trace` records:
+// the replay input of the certificate golden test (test_certificates) and
+// of CI's `trace_tool --certify` step.
+TEST(EventTrace, MatchesGoldenFile) {
+  std::string actual;
+  for (const obs::TraceEvent& ev : golden_events()) {
+    obs::append_event_json(actual, ev);
+    actual += '\n';
+  }
+
+  const std::string golden_path =
+      std::string(SPEEDSCALE_TEST_DATA_DIR) + "/golden/events_golden.jsonl";
+  std::ifstream f(golden_path);
+  ASSERT_TRUE(f.is_open()) << "missing golden file " << golden_path;
+  std::stringstream ss;
+  ss << f.rdbuf();
+  EXPECT_EQ(actual, ss.str()) << "event trace drifted from " << golden_path;
+}
+
 TEST(ChromeTrace, OutputIsValidJsonWithExpectedStructure) {
   const JsonValue doc =
       parse_json(obs::perf::chrome_trace_json(golden_events(), golden_profile()));

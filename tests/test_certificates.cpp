@@ -8,9 +8,11 @@
 //   * the Lemma 6/7 speed-profile certificate against the closed-form
 //     kinematics on single-job and two-job instances at machine precision;
 //   * byte-stability of the certificate JSONL against a golden file (what
-//     `trace_tool --certify` on the golden Chrome trace must reproduce);
-//   * replay round-trips: JSONL and Chrome traces re-certify to the same
-//     ledger as the live event stream.
+//     `trace_tool --certify` on the golden JSONL event trace must reproduce);
+//   * replay round-trips: a JSONL trace re-certifies to the same ledger as
+//     the live event stream;
+//   * malformed streams (non-finite times or payloads, non-integer ids) are
+//     errors, never certificates.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,7 +40,6 @@ using obs::TraceEvent;
 using obs::cert::CertificateLedger;
 using obs::cert::CertOptions;
 using obs::cert::CertRecord;
-using obs::cert::OptLbMode;
 
 class CertificatesTest : public ::testing::Test {
  protected:
@@ -206,7 +207,7 @@ TEST_F(CertificatesTest, MixedDensityPrefixBoundIsTheSolvesDual) {
   const CertOptions options;  // kPrefixConvex
   const CertificateLedger ledger = obs::cert::certify_events(evs, 2.0, options);
   const ConvexOptResult solve = solve_fractional_opt(
-      inst, 2.0, {.slots = options.opt_slots, .max_iters = options.opt_max_iters});
+      inst, 2.0, {.slots = options.opt_slots, .max_iters = obs::cert::kCertOptMaxIters});
   ASSERT_LT(solve.dual, solve.objective);
   double lb_after_second_release = -1.0;
   for (const CertRecord& r : ledger.records) {
@@ -218,23 +219,21 @@ TEST_F(CertificatesTest, MixedDensityPrefixBoundIsTheSolvesDual) {
 
 // --- Serialization: golden bytes and replay round-trips ---------------------
 
-/// The committed golden Chrome trace (tests/golden/, pinned by
+/// The committed golden JSONL event trace (tests/golden/, pinned by
 /// test_bench_ledger) re-certified: this is exactly what the CI smoke job's
 /// `trace_tool --certify` run must reproduce, byte for byte.
-std::string certify_golden_chrome_trace() {
+std::string certify_golden_event_trace() {
   const std::string trace_path =
-      std::string(SPEEDSCALE_TEST_DATA_DIR) + "/golden/chrome_trace_golden.json";
+      std::string(SPEEDSCALE_TEST_DATA_DIR) + "/golden/events_golden.jsonl";
   std::ifstream f(trace_path);
   EXPECT_TRUE(f.is_open()) << "missing golden file " << trace_path;
-  std::stringstream ss;
-  ss << f.rdbuf();
-  const obs::cert::ReplayedTrace replayed = obs::cert::replay_chrome_trace(ss.str());
+  const obs::cert::ReplayedTrace replayed = obs::cert::replay_jsonl_trace(f);
   const CertificateLedger ledger = obs::cert::certify_events(replayed.events, 2.0);
   return obs::cert::certificates_jsonl(ledger);
 }
 
-TEST_F(CertificatesTest, GoldenChromeTraceCertifiesByteStably) {
-  const std::string actual = certify_golden_chrome_trace();
+TEST_F(CertificatesTest, GoldenEventTraceCertifiesByteStably) {
+  const std::string actual = certify_golden_event_trace();
 
   const std::string golden_path =
       std::string(SPEEDSCALE_TEST_DATA_DIR) + "/golden/certificates_golden.jsonl";
@@ -277,18 +276,82 @@ TEST_F(CertificatesTest, JsonlReplayReproducesTheLiveLedger) {
   EXPECT_EQ(obs::cert::certificates_jsonl(back), obs::cert::certificates_jsonl(live));
 }
 
-TEST_F(CertificatesTest, ReplayRejectsMalformedInputWithLineNumbers) {
-  {
-    std::istringstream is("{\"kind\":\"job_release\",\"t\":0}\nnot json\n");
-    EXPECT_THROW((void)obs::cert::replay_jsonl_trace(is), ModelError);
+/// The ModelError message replay_jsonl_trace throws on `text` ("" if none).
+std::string replay_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    (void)obs::cert::replay_jsonl_trace(is);
+  } catch (const ModelError& e) {
+    return e.what();
   }
+  return "";
+}
+
+TEST_F(CertificatesTest, ReplayRejectsMalformedInputWithLineNumbers) {
+  EXPECT_NE(replay_error("{\"kind\":\"job_release\",\"t\":0,\"value\":1,\"aux\":1}\nnot json\n")
+                .find("line 2"),
+            std::string::npos);
   {
     std::istringstream is("{\"kind\":\"no_such_kind\",\"t\":0,\"value\":0,\"aux\":0}\n");
     EXPECT_THROW((void)obs::cert::replay_jsonl_trace(is), ModelError);
   }
-  EXPECT_THROW((void)obs::cert::replay_chrome_trace("{\"notTraceEvents\":[]}"), ModelError);
-  EXPECT_THROW((void)obs::cert::replay_chrome_trace("not json"), ModelError);
   EXPECT_THROW((void)obs::cert::certify_events({}, 1.0), ModelError);  // alpha <= 1
+  EXPECT_NE(replay_error("{\"kind\":\"job_release\",\"t\":0,\"value\":1,\"aux\":1}\n"
+                         "{\"kind\":\"job_release\",\"value\":1,\"aux\":1}\n")
+                .find("line 2: field 't' is missing"),
+            std::string::npos);
+}
+
+TEST_F(CertificatesTest, ReplayRejectsIdsThatAreNotInt32WithTheLine) {
+  const std::string ok = "{\"kind\":\"job_release\",\"t\":0,\"value\":1,\"aux\":1}\n";
+  for (const std::string id : {"1e300", "2147483648", "-2", "1.5", "\"nan\"", "\"inf\""}) {
+    for (const std::string field : {"job", "machine"}) {
+      const std::string bad = "{\"kind\":\"job_release\",\"t\":0,\"" + field + "\":" + id +
+                              ",\"value\":1,\"aux\":1}\n";
+      const std::string what = replay_error(ok + bad);
+      EXPECT_NE(what.find("line 2"), std::string::npos) << field << "=" << id << ": " << what;
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
+  }
+  std::istringstream edges(
+      "{\"kind\":\"job_release\",\"t\":0,\"job\":2147483647,\"machine\":-1,\"value\":1,"
+      "\"aux\":1}\n");
+  const obs::cert::ReplayedTrace replayed = obs::cert::replay_jsonl_trace(edges);
+  ASSERT_EQ(replayed.events.size(), 1u);
+  EXPECT_EQ(replayed.events[0].job, 2147483647);
+  EXPECT_EQ(replayed.events[0].machine, kNoMachine);
+}
+
+TEST_F(CertificatesTest, ReplayRejectsAChromeExportAsWriteOnly) {
+  const std::string what = replay_error("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
+  EXPECT_NE(what.find("write-only"), std::string::npos) << what;
+  EXPECT_NE(what.find("--trace"), std::string::npos) << what;
+}
+
+TEST_F(CertificatesTest, NonFiniteEventsAreErrorsNotCertificates) {
+  const std::vector<TraceEvent> good = {
+      {.kind = EventKind::kJobRelease, .t = 0.0, .job = 0, .value = 1.0, .aux = 1.0},
+      {.kind = EventKind::kSpeedChange, .t = 0.0, .value = 1.0, .aux = 1.0},
+      {.kind = EventKind::kJobComplete, .t = 1.0, .job = 0, .value = 1.0, .aux = 1.0},
+  };
+  const CertOptions single{.opt_lb = obs::cert::OptLbMode::kSingleJob};
+  EXPECT_EQ(obs::cert::certify_events(good, 2.0, single).records.size(), 3u);
+  const double nan = std::nan("");
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (double TraceEvent::*field : {&TraceEvent::t, &TraceEvent::value, &TraceEvent::aux}) {
+      for (const double bad_value : {nan, kInf, -kInf}) {
+        std::vector<TraceEvent> bad = good;
+        bad[i].*field = bad_value;
+        // A speed change's payload is not read by the ledger; its time is.
+        if (bad[i].kind == EventKind::kSpeedChange && field != &TraceEvent::t) {
+          EXPECT_NO_THROW((void)obs::cert::certify_events(bad, 2.0, single));
+        } else {
+          EXPECT_THROW((void)obs::cert::certify_events(bad, 2.0, single), ModelError)
+              << "event " << i;
+        }
+      }
+    }
+  }
 }
 
 // --- Harness integration ----------------------------------------------------

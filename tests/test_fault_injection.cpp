@@ -490,8 +490,9 @@ TEST(AtomicIo, JsonlSinkCommitsAtDestruction) {
 
 TEST(AtomicIo, CertCheckpointFlushSurvivesWithoutCommit) {
   // The certificate tracker checkpoints (Tracer::flush) every
-  // `checkpoint_every` records, so a run killed before the JsonlSink commits
-  // still leaves every flushed certificate line in the ".tmp" sibling.
+  // kCertCheckpointEvery records and once at the end, so a run killed before
+  // the JsonlSink commits still leaves every flushed certificate line in the
+  // ".tmp" sibling.
   const std::string path = temp_path("cert_stream.jsonl");
   auto sink = std::make_shared<obs::JsonlSink>(path);
   const std::vector<obs::TraceEvent> stream = {
@@ -505,7 +506,6 @@ TEST(AtomicIo, CertCheckpointFlushSurvivesWithoutCommit) {
     obs::cert::CertOptions copts;
     copts.opt_lb = obs::cert::OptLbMode::kSingleJob;
     copts.emit_trace_events = true;
-    copts.checkpoint_every = 1;  // flush after every record
     (void)obs::cert::certify_events(stream, 2.0, copts);
   }
   // No close(): the "crash" happens before the atomic rename.  The final

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "src/algo/algorithm_c.h"
 #include "src/algo/algorithm_nc_uniform.h"
@@ -80,6 +81,25 @@ TEST_P(QuadratureAlpha, Lemma4FlowRatioHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AlphaGrid, QuadratureAlpha, ::testing::Values(1.1, 1.5, 2.0, 3.0, 8.0));
+
+// P'(0) = 0 is read off P, not off PowerFunction::derivative, whose default
+// finite difference is positive at 0 for every P: an s^2 that does not
+// override it still runs exactly, with no completion/bootstrap epsilon.
+TEST(NumericEngine, PowerWithoutDerivativeOverrideRunsExactly) {
+  class Quadratic final : public PowerFunction {
+   public:
+    double power(double s) const override { return s * s; }
+    double speed_for_power(double p) const override { return p > 0.0 ? std::sqrt(p) : 0.0; }
+    std::string name() const override { return "s^2 (no derivative)"; }
+  };
+  const Quadratic q;
+  ASSERT_GT(q.derivative(0.0), 0.0);  // the default the engine must not trust
+  const Instance inst = uniform_instance(6, 23);
+  const SampledRun c = run_generic_c(inst, q);
+  const SampledRun nc = run_generic_nc_uniform(inst, q);
+  EXPECT_LE(rel(nc.energy, c.energy), 1e-12);                       // Lemma 3
+  EXPECT_NEAR(nc.fractional_flow / c.fractional_flow, 2.0, 1e-10);  // Lemma 4
+}
 
 TEST(NumericEngine, DivergentTailThrowsNoConvergence) {
   // P'(0) > 0: int dw / P^{-1}(w) diverges at w = 0.

@@ -14,15 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "src/algo/algorithm_nc_uniform.h"
 #include "src/analysis/sweep.h"
 #include "src/analysis/thread_pool.h"
 #include "src/analysis/worst_case.h"
 #include "src/core/power.h"
-#include "src/obs/cert/potential_tracker.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/shard_scope.h"
-#include "src/obs/trace.h"
 #include "src/opt/convex_opt.h"
 #include "src/opt/opt_cache.h"
 #include "src/robust/fault_injection.h"
@@ -278,26 +275,6 @@ TEST(WorstCaseRestarts, ResultIdenticalAtAnyJobs) {
     EXPECT_EQ(serial.instance.jobs()[i].release, parallel.instance.jobs()[i].release);
     EXPECT_EQ(serial.instance.jobs()[i].volume, parallel.instance.jobs()[i].volume);
   }
-}
-
-TEST(CertifySolverJobs, LedgerByteIdenticalAtAnyJobs) {
-  const Instance inst = workload::generate({.n_jobs = 10, .arrival_rate = 2.0, .seed = 2});
-  obs::RingBufferSink ring(1 << 16);
-  {
-    obs::ScopedThreadCapture capture(&ring);
-    (void)run_nc_uniform(inst, 2.0);
-  }
-  obs::cert::CertOptions options;
-  options.opt_slots = 120;
-  options.solver_jobs = 1;
-  const obs::cert::CertificateLedger serial =
-      obs::cert::certify_events(ring.events(), 2.0, options);
-  options.solver_jobs = 4;
-  const obs::cert::CertificateLedger parallel =
-      obs::cert::certify_events(ring.events(), 2.0, options);
-  EXPECT_EQ(serial.records.size(), parallel.records.size());
-  EXPECT_EQ(serial.opt_lb_updates, parallel.opt_lb_updates);
-  EXPECT_EQ(obs::cert::certificates_jsonl(serial), obs::cert::certificates_jsonl(parallel));
 }
 
 }  // namespace
