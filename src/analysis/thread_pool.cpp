@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "src/obs/metrics_registry.h"
-#include "src/robust/diagnostics.h"
-#include "src/robust/fault_injection.h"
 
 namespace speedscale::analysis {
 
@@ -113,10 +111,6 @@ void ThreadPool::worker_loop() {
     }
     std::exception_ptr err;
     try {
-      if (robust::fault_fire(robust::FaultSite::kPoolTask)) {
-        throw robust::RobustError(robust::ErrorCode::kTaskFailed,
-                                  "thread_pool: injected task fault");
-      }
       task.fn();
     } catch (...) {
       err = std::current_exception();

@@ -5,7 +5,6 @@
 
 #include "src/obs/metrics_registry.h"
 #include "src/robust/diagnostics.h"
-#include "src/robust/fault_injection.h"
 
 namespace speedscale::numerics {
 
@@ -29,10 +28,10 @@ double probe(const std::function<double(double)>& f, double x, const char* who) 
   return v;
 }
 
-/// Shared bracket validation: equal signs (or an injected bracket fault)
-/// raise the typed kRootNotBracketed diagnostic.
+/// Shared bracket validation: equal signs raise the typed
+/// kRootNotBracketed diagnostic.
 void require_bracketed(const char* who, double lo, double flo, double hi, double fhi) {
-  if ((flo > 0.0) == (fhi > 0.0) || robust::fault_fire(robust::FaultSite::kRootBracket)) {
+  if ((flo > 0.0) == (fhi > 0.0)) {
     throw RobustError(ErrorCode::kRootNotBracketed, std::string(who) + ": root not bracketed",
                       bracket_context(lo, flo, hi, fhi));
   }
@@ -149,7 +148,7 @@ double find_root_increasing(const std::function<double(double)>& f, double lo, d
   }
   int expansions = 0;
   double fhi = probe(f, hi, "find_root_increasing");
-  while (fhi < 0.0 || robust::fault_fire(robust::FaultSite::kRootBracket)) {
+  while (fhi < 0.0) {
     if (++expansions > max_expansions) {
       OBS_COUNT("numerics.roots.expansion_cap_hits", 1);
       throw RobustError(ErrorCode::kRootNotBracketed,

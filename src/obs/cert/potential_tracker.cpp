@@ -206,6 +206,13 @@ CertificateLedger certify_events(const std::vector<TraceEvent>& events, double a
                        (std::isfinite(ev.t) ? "payload" : "time") + " on a " +
                        event_kind_name(ev.kind) + " event of job " + std::to_string(ev.job));
     }
+    // A release carries the job's volume and density; Instance rejects
+    // either at or below zero, and so does the ledger.
+    if (ev.kind == EventKind::kJobRelease && !(ev.value > 0.0 && ev.aux > 0.0)) {
+      throw ModelError(std::string("certify_events: non-positive ") +
+                       (ev.value > 0.0 ? "density (aux)" : "volume (value)") +
+                       " on the release of job " + std::to_string(ev.job));
+    }
   }
 
   std::vector<TraceEvent> sorted = events;

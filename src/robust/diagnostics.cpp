@@ -14,8 +14,6 @@ const char* error_code_name(ErrorCode code) {
       return "invariant_breach";
     case ErrorCode::kIoMalformed:
       return "io_malformed";
-    case ErrorCode::kTaskFailed:
-      return "task_failed";
     case ErrorCode::kBudgetExhausted:
       return "budget_exhausted";
   }

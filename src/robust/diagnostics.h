@@ -30,7 +30,6 @@ enum class ErrorCode : std::uint8_t {
   kNoConvergence,      ///< iteration budget exhausted without meeting tol
   kInvariantBreach,    ///< post-run invariant checker tripped
   kIoMalformed,        ///< malformed trace/checkpoint input
-  kTaskFailed,         ///< a thread-pool task threw
   kBudgetExhausted,    ///< wall-clock/evaluation budget ran out mid-search
 };
 

@@ -7,10 +7,8 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 #include "src/robust/atomic_io.h"
-#include "src/robust/fault_injection.h"
 
 namespace speedscale::workload {
 
@@ -193,14 +191,7 @@ void write_trace(std::ostream& os, const Instance& instance) {
   os << "id,release,volume,density\n";
   os << std::setprecision(17);
   for (const Job& j : instance.jobs()) {
-    std::ostringstream line;
-    line << std::setprecision(17);
-    line << j.id << ',' << j.release << ',' << j.volume << ',' << j.density;
-    std::string s = line.str();
-    if (robust::fault_fire(robust::FaultSite::kTraceLine)) {
-      s.resize(s.size() * 3 / 5);  // injected mid-line truncation
-    }
-    os << s << '\n';
+    os << j.id << ',' << j.release << ',' << j.volume << ',' << j.density << '\n';
   }
 }
 

@@ -11,8 +11,9 @@
 //     `trace_tool --certify` on the golden JSONL event trace must reproduce);
 //   * replay round-trips: a JSONL trace re-certifies to the same ledger as
 //     the live event stream;
-//   * malformed streams (non-finite times or payloads, non-integer ids) are
-//     errors, never certificates.
+//   * malformed streams (non-finite times or payloads, non-integer ids,
+//     releases with a non-positive volume or density) are errors, never
+//     certificates.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -349,6 +350,31 @@ TEST_F(CertificatesTest, NonFiniteEventsAreErrorsNotCertificates) {
           EXPECT_THROW((void)obs::cert::certify_events(bad, 2.0, single), ModelError)
               << "event " << i;
         }
+      }
+    }
+  }
+}
+
+TEST_F(CertificatesTest, NonPositiveReleasesAreErrorsNotCertificates) {
+  // A release's value is the job's volume and its aux the density; at or
+  // below zero the job is not a job, and the ledger must not certify it.
+  const CertOptions single{.opt_lb = obs::cert::OptLbMode::kSingleJob};
+  for (double TraceEvent::*field : {&TraceEvent::value, &TraceEvent::aux}) {
+    for (const double bad_value : {-1.0, 0.0, -0.0}) {
+      std::vector<TraceEvent> bad = {
+          {.kind = EventKind::kJobRelease, .t = 0.0, .job = 7, .value = 1.0, .aux = 1.0},
+          {.kind = EventKind::kJobComplete, .t = 1.0, .job = 7, .value = 1.0, .aux = 1.0},
+      };
+      bad[0].*field = bad_value;
+      try {
+        (void)obs::cert::certify_events(bad, 2.0, single);
+        ADD_FAILURE() << "certified a release with " << bad_value;
+      } catch (const ModelError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(field == &TraceEvent::value ? "volume" : "density"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("job 7"), std::string::npos) << what;
       }
     }
   }

@@ -114,6 +114,23 @@ TEST(TraceIo, RoundTrip) {
   }
 }
 
+// The writer's exact bytes: one header, then id,release,volume,density at 17
+// significant digits, so every double round-trips.
+TEST(TraceIo, WriteTraceBytesArePinned) {
+  const Instance inst({
+      Job{kNoJob, 0.0, 0.1, 1.0},
+      Job{kNoJob, 0.1, 1.0 / 3.0, 1e-300},
+      Job{kNoJob, 1.0 / 3.0, 2.0, 1e300},
+  });
+  std::ostringstream os;
+  workload::write_trace(os, inst);
+  EXPECT_EQ(os.str(),
+            "id,release,volume,density\n"
+            "0,0,0.10000000000000001,1\n"
+            "1,0.10000000000000001,0.33333333333333331,1e-300\n"
+            "2,0.33333333333333331,2,1.0000000000000001e+300\n");
+}
+
 TEST(TraceIo, RejectsMalformedInput) {
   std::stringstream empty;
   EXPECT_THROW(workload::read_trace(empty), ModelError);

@@ -22,7 +22,6 @@
 #include "src/obs/shard_scope.h"
 #include "src/opt/convex_opt.h"
 #include "src/opt/opt_cache.h"
-#include "src/robust/fault_injection.h"
 #include "src/workload/generators.h"
 
 namespace speedscale {
