@@ -6,6 +6,9 @@
 // the capped NC and capped C — while the power-law-specific flow ratio
 // 1/(1-1/alpha) (Lemma 4) should drift once the cap binds.  This bench
 // measures all three across cap levels, plus the cost of the cap itself.
+// It exits 1 if a Lemma 3 gap or Lemma 6 distance exceeds 1e-12, or if a
+// cap that never binds (1.2x the peak and above) moves the objective off
+// unbounded C's at all.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -39,6 +42,9 @@ int main() {
   Table t({"s_max", "cap binds?", "energy(Cb)", "energy gap NCb vs Cb [Lem 3]",
            "rearrange dist [Lem 6]", "flow(NCb)/flow(Cb)", "1/(1-1/a)",
            "objective vs unbounded C"});
+  // The gate: Lemmas 3 and 6 hold at every cap, and a cap that never binds
+  // leaves C's own run, bit for bit.
+  int failures = 0;
   for (double f : {0.3, 0.5, 0.7, 0.9, 1.2, 4.0}) {
     const double s_max = f * peak;
     const BoundedRun cb = run_c_bounded(inst, alpha, s_max);
@@ -46,14 +52,25 @@ int main() {
     const double e_gap = std::abs(ncb.result.metrics.energy - cb.result.metrics.energy) /
                          cb.result.metrics.energy;
     const double rd = rearrangement_distance(ncb.result.schedule, cb.result.schedule);
+    const double vs_unbounded =
+        cb.result.metrics.fractional_objective() / unb_c.metrics.fractional_objective();
+    if (e_gap > 1e-12 || rd > 1e-12) {
+      std::printf("FAIL s_max = %.4f: Lemma 3 gap %.3g, Lemma 6 distance %.3g (bound 1e-12)\n",
+                  s_max, e_gap, rd);
+      ++failures;
+    }
+    if (f >= 1.2 && vs_unbounded != 1.0) {
+      std::printf("FAIL s_max = %.4f does not bind, yet objective vs unbounded C = %.17g\n",
+                  s_max, vs_unbounded);
+      ++failures;
+    }
     t.add_row({Table::cell(s_max), f < 1.0 ? "yes" : "no",
                Table::cell(cb.result.metrics.energy), Table::cell(e_gap, 3),
                Table::cell(rd, 3),
                Table::cell(ncb.result.metrics.fractional_flow /
                            cb.result.metrics.fractional_flow, 6),
                Table::cell(bounds::nc_over_c_flow(alpha), 6),
-               Table::cell(cb.result.metrics.fractional_objective() /
-                           unb_c.metrics.fractional_objective())});
+               Table::cell(vs_unbounded)});
   }
   t.print(std::cout);
 
@@ -70,5 +87,9 @@ int main() {
   std::printf("\nExpected shape: energy gaps and rearrangement distances ~ 0 at every cap\n");
   std::printf("(the general-P lemmas transfer); the flow ratio equals 1/(1-1/alpha) only\n");
   std::printf("when the cap never binds; costs rise as the cap tightens.\n");
+  if (failures > 0) {
+    std::printf("\n%d gate failure(s)\n", failures);
+    return 1;
+  }
   return 0;
 }

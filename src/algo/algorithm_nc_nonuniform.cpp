@@ -121,13 +121,9 @@ double CurrentInstanceOracle::replay(double t, JobId anchor, double anchor_proce
   const double r_anchor = anchored ? rounded_.job(anchor).release : kInf;
   bool capture = anchored && !ckpt_valid_;
 
-  double W = 0.0;
-  double tcur = 0.0;
-  std::size_t ptr = 0;  // pointer over releases, filtered to jobs in I(t)
+  CState c;
   if (anchored && ckpt_valid_) {
-    W = ckpt_W_;
-    tcur = ckpt_t_;
-    ptr = ckpt_ptr_;
+    c = ckpt_;
     live_ = ckpt_live_;
     for_each_rank(live_, [&](int r) {
       const auto idx = static_cast<std::size_t>(by_rank_[static_cast<std::size_t>(r)]);
@@ -138,23 +134,21 @@ double CurrentInstanceOracle::replay(double t, JobId anchor, double anchor_proce
   }
 
   const auto next_relevant = [&]() -> std::size_t {
-    while (ptr < n) {
-      const Job& j = rounded_.job(by_release_[ptr]);
+    while (c.ptr < n) {
+      const Job& j = rounded_.job(by_release_[c.ptr]);
       if (j.release > t) return n;  // later jobs are not part of I(t)
-      if (volume_at(ptr) > 0.0) return ptr;
-      ++ptr;
+      if (volume_at(c.ptr) > 0.0) return c.ptr;
+      ++c.ptr;
     }
     return n;
   };
-  // Called each time tcur moves: checkpoints the state the first time the
-  // replay reaches the anchor's release, then adds the jobs released by tcur.
+  // Called each time c.now moves: checkpoints the state the first time the
+  // replay reaches the anchor's release, then adds the jobs released by now.
   const auto arrive = [&]() {
-    if (capture && tcur >= r_anchor) {
+    if (capture && c.now >= r_anchor) {
       capture = false;
       ckpt_valid_ = true;
-      ckpt_W_ = W;
-      ckpt_t_ = tcur;
-      ckpt_ptr_ = ptr;
+      ckpt_ = c;
       ckpt_live_ = live_;
       for_each_rank(live_, [&](int r) {
         const auto idx = static_cast<std::size_t>(by_rank_[static_cast<std::size_t>(r)]);
@@ -163,53 +157,45 @@ double CurrentInstanceOracle::replay(double t, JobId anchor, double anchor_proce
     }
     for (std::size_t p = next_relevant(); p < n; p = next_relevant()) {
       const Job& j = rounded_.job(by_release_[p]);
-      if (j.release > tcur) break;
+      if (j.release > c.now) break;
       const auto idx = static_cast<std::size_t>(j.id);
       rem_[idx] = volume_at(p);
-      W += j.density * rem_[idx];
+      c.weight.add(j.density * rem_[idx]);
+      ++c.live;
       insert_rank(live_, rank_[idx]);
-      ++ptr;
+      ++c.ptr;
     }
   };
 
   arrive();
-  while (tcur < t) {
+  while (c.now < t) {
     ++events_;
     const std::size_t p = next_relevant();
     const double next_release = (p < n) ? rounded_.job(by_release_[p]).release : kInf;
     const int r = first_rank(live_);
     if (r < 0) {
       if (next_release > t) return 0.0;  // drained before t
-      tcur = next_release;
+      c.now = next_release;
     } else {
       const JobId cur = by_rank_[static_cast<std::size_t>(r)];
       const auto idx = static_cast<std::size_t>(cur);
       const double rho = rounded_.job(cur).density;
-      const double w_done = W - rho * rem_[idx];
-      const double t_complete = tcur + kin_.decay_time_to_weight(W, std::max(w_done, 0.0), rho);
-      if (t_complete <= t && t_complete <= next_release) {
-        W = std::max(0.0, w_done);
-        rem_[idx] = 0.0;
+      const double w0 = c.weight.w;
+      const CStretch s = c_stretch(kin_, c.weight, c.now, std::min(t, next_release), rho,
+                                   rho * rem_[idx], c.live == 1);
+      pow_calls_ += s.pow_calls;
+      if (s.completes) {
         erase_rank(live_, r);
-        tcur = t_complete;
-      } else if (next_release <= t) {
-        const double w1 = kin_.decay_weight_after(W, rho, next_release - tcur);
-        rem_[idx] = std::max(0.0, rem_[idx] - (W - w1) / rho);
-        if (rem_[idx] <= 0.0) erase_rank(live_, r);
-        W = w1;
-        tcur = next_release;
+        --c.live;
       } else {
-        W = kin_.decay_weight_after(W, rho, t - tcur);
-        tcur = t;
+        rem_[idx] = std::max(0.0, rem_[idx] - (w0 - c.weight.w) / rho);
       }
+      c.now = s.t_end;
     }
     arrive();
   }
-  return kin_.speed_at_weight(W);
-}
-
-double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t) {
-  return c_speed(processed, t, kNoJob, 0.0);
+  if (c.weight.w > 0.0) ++pow_calls_;
+  return kin_.speed_at_weight(c.weight.w);
 }
 
 double CurrentInstanceOracle::c_speed(const std::vector<double>& processed, double t,
@@ -235,6 +221,12 @@ double nc_eta_min(double alpha) {
 NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
                                   const NCNonUniformParams& params, const NCObserver& observer) {
   detail::check_step_params(params.step_growth, params.min_step, params.max_steps);
+  if (!(params.eta >= 0.0) || !std::isfinite(params.eta)) {
+    throw ModelError("run_nc_nonuniform: eta must be finite and non-negative (0 = automatic)");
+  }
+  if (!(params.epsilon_speed > 0.0) || !std::isfinite(params.epsilon_speed)) {
+    throw ModelError("run_nc_nonuniform: epsilon_speed must be finite and positive");
+  }
   NCNonUniformRun out(alpha);
   out.rounded =
       params.round_densities ? instance.rounded_densities(params.beta) : instance;
@@ -318,6 +310,7 @@ NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
   OBS_COUNT("algo.nc_nonuniform.c_evaluations", out.c_evaluations);
   out.oracle_events = oracle.events();
   OBS_COUNT("algo.nc_nonuniform.oracle_events", out.oracle_events);
+  OBS_COUNT("algo.nc_nonuniform.pow_calls", oracle.pow_calls());
   return out;
 }
 

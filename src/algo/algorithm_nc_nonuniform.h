@@ -72,8 +72,9 @@ struct NCNonUniformRun {
 };
 
 /// Runs non-uniform Algorithm NC with P(s) = s^alpha.  Throws ModelError at
-/// once for a non-positive or non-finite `min_step` or `step_growth` or a
-/// `max_steps` below 1, and when the run exceeds `max_steps`.
+/// once for a non-positive or non-finite `min_step`, `step_growth` or
+/// `epsilon_speed`, a negative or non-finite `eta` or a `max_steps` below 1,
+/// and when the run exceeds `max_steps`.
 [[nodiscard]] NCNonUniformRun run_nc_nonuniform(const Instance& instance, double alpha,
                                                 const NCNonUniformParams& params = {},
                                                 const NCObserver& observer = {});
@@ -97,10 +98,8 @@ struct NCNonUniformRun {
 /// this twice per step, so the reference path's per-call Instance/CMachine
 /// construction dominates the whole algorithm; this oracle pre-sorts the
 /// rounded jobs once and replays Algorithm C over reused scratch buffers.
-/// It replays the same C events as the reference with its own arithmetic,
-/// so tests compare the two within 1e-6 + 1e-9 * max(1, speed) (a
-/// near-drained instant leaves an O(1e-7) weight residue in one and exact
-/// zero in the other).
+/// It advances C through the reference's events with CMachine's own
+/// stretch, c_stretch (core/kinematics.h), so tests compare the two with ==.
 ///
 /// Anchor contract.  While NC runs one job j, only processed[j] changes, so
 /// C's replay of I(t) up to r_j sees the same jobs with the same volumes at
@@ -118,14 +117,12 @@ class CurrentInstanceOracle {
   CurrentInstanceOracle(const Instance& rounded, double alpha);
 
   /// Speed of Algorithm C on I(t) at time t, weights from `processed`
-  /// (indexed by the rounded instance's JobIds).  Always a full replay; it
-  /// neither uses nor drops the anchor checkpoint.
-  [[nodiscard]] double c_speed(const std::vector<double>& processed, double t);
-
-  /// The same speed with processed[anchor] read as `anchor_processed`,
-  /// replaying from the anchor checkpoint when the contract above allows.
-  [[nodiscard]] double c_speed(const std::vector<double>& processed, double t, JobId anchor,
-                               double anchor_processed);
+  /// (indexed by the rounded instance's JobIds) with processed[anchor] read
+  /// as `anchor_processed`, replaying from the anchor checkpoint when the
+  /// contract above allows.  Without an anchor it is a full replay that
+  /// neither uses nor drops the checkpoint.
+  [[nodiscard]] double c_speed(const std::vector<double>& processed, double t,
+                               JobId anchor = kNoJob, double anchor_processed = 0.0);
 
   /// The same speed at st.time, weights from the state's processed volumes,
   /// anchored at the running job st.jobs[running].  st.jobs must be the
@@ -136,6 +133,9 @@ class CurrentInstanceOracle {
   /// Replay-loop iterations over all calls so far (a deterministic work
   /// counter: one per C event the replays step through).
   [[nodiscard]] long events() const { return events_; }
+
+  /// pow calls over all calls so far (c_stretch's and the speed reads).
+  [[nodiscard]] long pow_calls() const { return pow_calls_; }
 
  private:
   /// The replay; volume_at(p) is the processed volume of by_release_[p]
@@ -149,16 +149,23 @@ class CurrentInstanceOracle {
   std::vector<JobId> by_rank_;      ///< (density desc, release asc, id) order
   std::vector<int> rank_;           ///< per job: its index in by_rank_
   std::vector<double> rem_;         ///< scratch: remaining volume in the replay
-  std::vector<std::uint64_t> live_; ///< scratch: ranks released with rem_ > 0
+  std::vector<std::uint64_t> live_; ///< scratch: ranks released, not completed
   long events_ = 0;
+  long pow_calls_ = 0;
 
-  /// Replay state the first time tcur reaches the anchor's release, before
-  /// the jobs released there are added.
+  /// The replay's C state besides rem_ and live_.
+  struct CState {
+    double now = 0.0;
+    CWeight weight;
+    int live = 0;         ///< live jobs; c_stretch drains the last one to 0
+    std::size_t ptr = 0;  ///< pointer over releases, filtered to jobs in I(t)
+  };
+
+  /// Replay state the first time the replay reaches the anchor's release,
+  /// before the jobs released there are added.
   JobId ckpt_anchor_ = kNoJob;
   bool ckpt_valid_ = false;
-  double ckpt_W_ = 0.0;
-  double ckpt_t_ = 0.0;
-  std::size_t ckpt_ptr_ = 0;
+  CState ckpt_;
   std::vector<double> ckpt_rem_;
   std::vector<std::uint64_t> ckpt_live_;
 };

@@ -9,15 +9,6 @@
 
 namespace speedscale {
 
-namespace {
-
-struct JobState {
-  double remaining = 0.0;
-  bool released = false;
-};
-
-}  // namespace
-
 BoundedRun run_c_bounded(const Instance& instance, double alpha, double s_max) {
   if (!(s_max > 0.0)) throw ModelError("run_c_bounded: s_max must be positive");
   BoundedRun out(alpha);
@@ -25,37 +16,32 @@ BoundedRun run_c_bounded(const Instance& instance, double alpha, double s_max) {
   const PowerLawKinematics kin(alpha);
   const double cap_power = std::pow(s_max, alpha);
 
-  std::vector<JobState> st(instance.size());
-  for (const Job& j : instance.jobs()) st[static_cast<std::size_t>(j.id)].remaining = j.volume;
-  std::set<std::pair<double, JobId>> pending;
-  for (const Job& j : instance.jobs()) pending.insert({j.release, j.id});
-  struct Hdf {
-    const Instance* inst;
-    bool operator()(JobId a, JobId b) const {
-      const Job& ja = inst->job(a);
-      const Job& jb = inst->job(b);
-      if (ja.density != jb.density) return ja.density > jb.density;
-      if (ja.release != jb.release) return ja.release < jb.release;
-      return a < b;
-    }
+  std::vector<double> remaining(instance.size());
+  for (const Job& j : instance.jobs()) remaining[static_cast<std::size_t>(j.id)] = j.volume;
+  const std::vector<JobId> by_release = instance.fifo_order();
+  std::size_t next = 0;  // by_release[next] is the next job to release
+  const auto hdf = [&](JobId a, JobId b) {
+    const Job& ja = instance.job(a);
+    const Job& jb = instance.job(b);
+    if (ja.density != jb.density) return ja.density > jb.density;
+    if (ja.release != jb.release) return ja.release < jb.release;
+    return a < b;
   };
-  std::set<JobId, Hdf> active(Hdf{&instance});
+  std::set<JobId, decltype(hdf)> active(hdf);
 
   double t = 0.0;
-  double W = 0.0;
+  CWeight W;
   const auto release_due = [&]() {
-    while (!pending.empty() && pending.begin()->first <= t) {
-      const JobId id = pending.begin()->second;
-      pending.erase(pending.begin());
-      st[static_cast<std::size_t>(id)].released = true;
-      W += instance.job(id).weight();
-      active.insert(id);
+    for (; next < by_release.size() && instance.job(by_release[next]).release <= t; ++next) {
+      W.add(instance.job(by_release[next]).weight());
+      active.insert(by_release[next]);
     }
   };
   release_due();
 
-  while (!active.empty() || !pending.empty()) {
-    const double next_release = pending.empty() ? kInf : pending.begin()->first;
+  while (!active.empty() || next < by_release.size()) {
+    const double next_release =
+        next < by_release.size() ? instance.job(by_release[next]).release : kInf;
     if (active.empty()) {
       t = next_release;
       release_due();
@@ -63,55 +49,47 @@ BoundedRun run_c_bounded(const Instance& instance, double alpha, double s_max) {
     }
     const JobId cur = *active.begin();
     const Job& job = instance.job(cur);
-    JobState& cs = st[static_cast<std::size_t>(cur)];
+    double& rem = remaining[static_cast<std::size_t>(cur)];
 
     // Strictly-above-cap test with a relative tolerance: after a capped
     // stretch ends at the cap boundary, float residue can leave W a few ulp
     // above cap_power, which would otherwise produce a zero-length step and
     // an infinite loop.
-    if (W > cap_power * (1.0 + 1e-12)) {
+    if (W.w > cap_power * (1.0 + 1e-12)) {
       // Capped phase: constant speed s_max; W falls linearly.
-      const double t_uncap = t + (W - cap_power) / (job.density * s_max);
-      const double t_complete = t + cs.remaining / s_max;
+      const double t_uncap = t + (W.w - cap_power) / (job.density * s_max);
+      const double t_complete = t + rem / s_max;
       const double t_event = std::min({t_uncap, t_complete, next_release});
       if (t_event > t) {
-        out.seg_w0.push_back(W);
+        out.seg_w0.push_back(W.w);
         sched.append({t, t_event, cur, SpeedLaw::kConstant, s_max, job.density});
       }
       const double dt = t_event - t;
-      if (t_event == t_uncap) {
-        W = cap_power;  // snap exactly onto the boundary
-      } else {
-        W = std::max(0.0, W - job.density * s_max * dt);
-      }
-      cs.remaining -= s_max * dt;
+      // Uncapping snaps W exactly onto the boundary.
+      W.w = t_event == t_uncap ? cap_power : std::max(0.0, W.w - job.density * s_max * dt);
+      W.wb_stale = true;
+      rem -= s_max * dt;
       t = t_event;
       if (t == t_complete && t <= t_uncap && t <= next_release) {
-        cs.remaining = 0.0;
         active.erase(active.begin());
         sched.set_completion(cur, t);
       }
     } else {
-      // Uncapped: the usual power-law decay.
-      const double w_done = W - job.density * cs.remaining;
-      const double t_complete = t + kin.decay_time_to_weight(W, std::max(w_done, 0.0), job.density);
-      const double t_event = std::min(t_complete, next_release);
-      if (t_event > t) {
-        out.seg_w0.push_back(W);
-        sched.append({t, t_event, cur, SpeedLaw::kPowerDecay, W, job.density});
+      // Uncapped: Algorithm C's stretch, the same operations as CMachine's.
+      const double w0 = W.w;
+      const CStretch s =
+          c_stretch(kin, W, t, next_release, job.density, job.density * rem, active.size() == 1);
+      if (s.t_end > t) {
+        out.seg_w0.push_back(w0);
+        sched.append({t, s.t_end, cur, SpeedLaw::kPowerDecay, w0, job.density});
       }
-      if (t_complete <= next_release) {
-        W = std::max(0.0, w_done);
-        cs.remaining = 0.0;
+      if (s.completes) {
         active.erase(active.begin());
-        sched.set_completion(cur, t_complete);
-        t = t_complete;
+        sched.set_completion(cur, s.t_end);
       } else {
-        const double w1 = kin.decay_weight_after(W, job.density, t_event - t);
-        cs.remaining = std::max(0.0, cs.remaining - (W - w1) / job.density);
-        W = w1;
-        t = t_event;
+        rem = std::max(0.0, rem - (w0 - W.w) / job.density);
       }
+      t = s.t_end;
     }
     release_due();
   }

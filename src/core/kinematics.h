@@ -27,12 +27,17 @@
 // this is what lets the tests check the paper's lemma-level *identities*
 // (Lemmas 3, 4, 6, 21, 22) to ~1e-9 instead of statistically.
 //
-// The hot kernels (CMachine, the metrics replay, StreamEngine) work in the
+// The kernels (CMachine, non-uniform NC's oracle, speed-bounded C's
+// uncapped phase, the metrics replay, StreamEngine) work in the
 // b-coordinate x = W^b itself: a trajectory moves x linearly, the energy is
 // (W0 x0 - W1 x1) / (rho (1+b)), and the only pow left is x^{1/b} where a
 // weight is read back (plus W^b after weight is added).  That is one or two
-// pow per event, piece or job where the plain forms take four to six.
+// pow per event, piece or job where the plain forms take four to six.  The
+// first three advance C through one stretch function, c_stretch, so they
+// take the same floating-point operations on the same stretch.
 #pragma once
+
+#include <algorithm>
 
 #include "src/core/types.h"
 
@@ -127,5 +132,61 @@ class PowerLawKinematics {
   double alpha_;
   double b_;
 };
+
+/// Algorithm C's total remaining weight W and its b-power W^b, which is
+/// carried from stretch to stretch and retaken only after weight is added.
+struct CWeight {
+  double w = 0.0;
+  double wb = 0.0;
+  bool wb_stale = false;
+  void add(double dw) {
+    w += dw;
+    wb_stale = true;
+  }
+};
+
+/// One stretch of Algorithm C: it ends at the running job's completion or
+/// at the stop time, whichever comes first.
+struct CStretch {
+  bool completes = false;  ///< the running job completes at t_end <= stop
+  double t_end = 0.0;      ///< its completion time, else the stop time
+  double w0b = 0.0;        ///< W^b at the start
+  int pow_calls = 0;       ///< pow calls made: zero to three
+};
+
+/// Advances C's weight `W` from `now` while the job of density rho and
+/// remaining weight `job_weight` runs, to its completion or to `stop` (a
+/// completion at `stop` counts: it precedes release handling).  The
+/// completion level is timed through its b-power, clamped to W^b (a carried
+/// W^b may undershoot by an ulp).  The `last` live job drains to exactly 0:
+/// a ~1e-17 residue's residue^b / (rho b) tail would move the drain time
+/// (~1e-5 at alpha = 1.5) off the closed form NC and NC-PAR use.
+[[nodiscard]] inline CStretch c_stretch(const PowerLawKinematics& kin, CWeight& W, double now,
+                                        double stop, double rho, double job_weight, bool last) {
+  CStretch s;
+  if (W.wb_stale) {
+    W.wb = kin.pow_b(W.w);
+    W.wb_stale = false;
+    ++s.pow_calls;
+  }
+  s.w0b = W.wb;
+  W.w = last ? 0.0 : std::max(W.w - job_weight, 0.0);
+  W.wb = 0.0;
+  if (W.w > 0.0) {
+    W.wb = std::min(kin.pow_b(W.w), s.w0b);
+    ++s.pow_calls;
+  }
+  const double t_complete = now + kin.band_time_pow(W.wb, s.w0b, rho);
+  s.completes = t_complete <= stop;
+  if (s.completes) {
+    s.t_end = t_complete;
+    return s;
+  }
+  s.t_end = stop;
+  W.wb = kin.decay_pow_after(s.w0b, rho, stop - now);
+  W.w = kin.weight_from_pow(W.wb);
+  if (W.wb > 0.0) ++s.pow_calls;
+  return s;
+}
 
 }  // namespace speedscale

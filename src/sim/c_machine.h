@@ -9,10 +9,10 @@
 //
 // CMachine is *incremental*: jobs may be appended while the simulation
 // frontier advances, as long as each job's release time is at or after the
-// frontier.  This is exactly what the higher layers need:
-//   * C-PAR (Section 6) dispatches arriving jobs to the machine with least
-//     remaining weight, then resumes each machine;
-//   * the non-uniform Algorithm NC re-solves C on the evolving instance I(t).
+// frontier.  Users: run_c, C-PAR (Section 6), C on fixed assignments and
+// Section 7's comparator, and c_speed_on_current_instance, the reference for
+// non-uniform NC's speed.  Each stretch is c_stretch (core/kinematics.h),
+// which that speed's oracle and speed-bounded C's uncapped phase call too.
 // Uniform NC and NC-PAR run no CMachine: they need only C's total remaining
 // weight, which engine::StreamEngine tracks in O(1) per machine.
 // c_remaining_weight_left reads the same left limit W^C(t^-) off a recorded
@@ -54,7 +54,7 @@ class CMachine {
   [[nodiscard]] double now() const { return now_; }
 
   /// Total remaining weight W(frontier) — the value driving the speed.
-  [[nodiscard]] double remaining_weight() const { return total_weight_; }
+  [[nodiscard]] double remaining_weight() const { return weight_.w; }
 
   /// Remaining volume of a job (by the id it carried in add_job).
   [[nodiscard]] double remaining_volume(JobId id) const;
@@ -81,20 +81,12 @@ class CMachine {
   /// runs label each CMachine; single-machine runs leave kNoMachine).
   void set_obs_machine(MachineId m) { obs_machine_ = m; }
 
-  /// Cumulative int W dt up to the frontier.  Under the P = W rule this is
-  /// both the energy and the fractional flow spent so far; it is the
-  /// cumulative payload of the job_complete trace events.  Only maintained
-  /// while tracing is enabled (0 otherwise) — the disabled hot path must not
-  /// pay the closed-form integral per segment.
-  [[nodiscard]] double traced_energy() const { return energy_acc_; }
-
-  /// Opt-in online objective accumulation (off by default for the same
-  /// hot-path reason as traced_energy).  Enable before the first advance:
-  /// every stretch adds its int W dt — which under P = W is both energy and
-  /// fractional flow — and every completion lands the job's integral
-  /// weighted flow.  Kahan-compensated; see docs/performance.md.
+  /// Opt-in online objective accumulation (off by default: the hot path
+  /// must not pay the closed-form integral per segment).  Enable before the
+  /// first advance: every stretch adds its int W dt — which under P = W is
+  /// both energy and fractional flow — and every completion lands the job's
+  /// integral weighted flow.  Kahan-compensated; see docs/performance.md.
   void set_online_metrics(bool on) { online_on_ = on; }
-  [[nodiscard]] bool online_metrics_enabled() const { return online_on_; }
 
   /// The objective accumulated so far (zeros unless enabled).
   [[nodiscard]] Metrics online_metrics() const { return om_.metrics(); }
@@ -141,9 +133,7 @@ class CMachine {
 
   PowerLawKinematics kin_;
   double now_ = 0.0;
-  double total_weight_ = 0.0;
-  double total_weight_b_ = 0.0;     // total_weight_^b, the decay's linear coordinate
-  bool weight_b_stale_ = false;     // a release added weight since total_weight_b_
+  CWeight weight_;                  // total remaining weight, with its b-power
   double energy_acc_ = 0.0;         // cumulative int W dt (tracing only)
   bool online_on_ = false;
   engine::OnlineMetrics om_;        // online objective (opt-in only)

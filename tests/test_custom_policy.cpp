@@ -241,6 +241,33 @@ TEST(CustomPolicy, RejectsBadStepParametersAtOnce) {
     const std::string from_nc = message([&] { (void)run_nc_nonuniform(inst, 2.0, nc); });
     EXPECT_EQ(from_nc, custom);
   }
+  // Non-uniform NC's own knobs: a NaN eta used to run as the automatic one,
+  // and the others failed mid-run with the engine's generic errors.
+  struct BadNc {
+    double eta = 0.0;
+    double epsilon_speed = 1e-4;
+    const char* names;
+  };
+  for (const BadNc& bad : {BadNc{.eta = nan, .names = "eta must"},
+                           BadNc{.eta = kInf, .names = "eta must"},
+                           BadNc{.eta = -1.0, .names = "eta must"},
+                           BadNc{.epsilon_speed = 0.0, .names = "epsilon_speed must"},
+                           BadNc{.epsilon_speed = -1e-4, .names = "epsilon_speed must"},
+                           BadNc{.epsilon_speed = nan, .names = "epsilon_speed must"},
+                           BadNc{.epsilon_speed = kInf, .names = "epsilon_speed must"}}) {
+    SCOPED_TRACE(std::string(bad.names) + " " + std::to_string(bad.eta) + " " +
+                 std::to_string(bad.epsilon_speed));
+    NCNonUniformParams nc;
+    nc.eta = bad.eta;
+    nc.epsilon_speed = bad.epsilon_speed;
+    nc.max_steps = 1000;
+    int events = 0;
+    const std::string from_nc = message([&] {
+      (void)run_nc_nonuniform(inst, 2.0, nc, [&](double, const std::vector<double>&) { ++events; });
+    });
+    EXPECT_NE(from_nc.find(bad.names), std::string::npos) << from_nc;
+    EXPECT_EQ(events, 0);
+  }
 }
 
 TEST(CustomPolicy, OnlineMatchesReplay) {
